@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test bench bench-quick perf-tier figures chaos sweep-smoke snapshot-smoke diagnose-smoke serve-smoke competitive-smoke soak-smoke
+.PHONY: test bench bench-quick bench-abs bench-tests perf-tier figures chaos sweep-smoke snapshot-smoke diagnose-smoke serve-smoke competitive-smoke soak-smoke
 
 test:            ## tier-1 suite (must always be green)
 	$(PY) -m pytest -x -q
@@ -14,6 +14,13 @@ bench:           ## full microbenchmark suite -> BENCH_<date>.json
 bench-quick:     ## CI smoke: quick suite vs the committed baseline
 	$(PY) -m repro bench --quick \
 	    --baseline benchmarks/perf/baseline.json --budget 0.25
+
+W ?= fct_observed
+bench-abs:       ## absolute benchmark, one workload: make bench-abs W=fct_star
+	python3 -m bench once --workload $(W) --seed 1
+
+bench-tests:     ## the absolute benchmark's own tests (not tier-1, < 1 min)
+	$(PY) -m pytest bench/tests -q
 
 perf-tier:       ## opt-in perf regression tier (ops + speedup floors)
 	$(PY) -m pytest -q benchmarks/perf/

@@ -11,8 +11,7 @@ subscriber check.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Any, Callable, DefaultDict, Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 Subscriber = Callable[..., None]
 PayloadFactory = Callable[[], Dict[str, Any]]
@@ -26,10 +25,14 @@ class TraceBus:
     counter, so a publish to a silent topic costs one int compare and a
     dict lookup instead of building a payload — see
     ``docs/performance.md``.
+
+    Subscriber tuples are copy-on-write: (un)subscribing rebinds the
+    topic to a new tuple, so a delivery in flight keeps iterating the
+    one it started with and nothing is copied per event.
     """
 
     def __init__(self) -> None:
-        self._subscribers: DefaultDict[str, List[Subscriber]] = defaultdict(list)
+        self._subscribers: Dict[str, Tuple[Subscriber, ...]] = {}
         self.version = 0
         self._watchers: List[Callable[[], None]] = []
 
@@ -39,16 +42,18 @@ class TraceBus:
         Subscribing the same callback twice delivers each event twice;
         one :meth:`unsubscribe` removes one registration.
         """
-        self._subscribers[topic].append(callback)
+        self._subscribers[topic] = (
+            self._subscribers.get(topic, ()) + (callback,))
         self.version += 1
         for watcher in self._watchers:
             watcher()
 
     def unsubscribe(self, topic: str, callback: Subscriber) -> None:
         """Remove a previously registered callback (no-op if absent)."""
-        callbacks = self._subscribers.get(topic)
-        if callbacks and callback in callbacks:
+        callbacks = list(self._subscribers.get(topic, ()))
+        if callback in callbacks:
             callbacks.remove(callback)
+            self._subscribers[topic] = tuple(callbacks)
             self.version += 1
             for watcher in self._watchers:
                 watcher()
@@ -66,13 +71,12 @@ class TraceBus:
     def publish(self, topic: str, *args: Any, **kwargs: Any) -> None:
         """Invoke every subscriber of ``topic`` with the given payload.
 
-        The subscriber list is snapshotted per publish: callbacks that
-        subscribe or unsubscribe *during* delivery affect the next
-        publish, not the one in flight.
+        Callbacks that subscribe or unsubscribe *during* delivery
+        affect the next publish, not the one in flight.
         """
         callbacks = self._subscribers.get(topic)
         if callbacks:
-            for callback in list(callbacks):
+            for callback in callbacks:
                 callback(*args, **kwargs)
 
     def emit(self, topic: str, payload: PayloadFactory) -> None:
@@ -87,7 +91,7 @@ class TraceBus:
         if not callbacks:
             return
         kwargs = payload()
-        for callback in list(callbacks):
+        for callback in callbacks:
             callback(**kwargs)
 
     def has_subscribers(self, topic: str) -> bool:

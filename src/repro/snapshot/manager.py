@@ -2,7 +2,7 @@
 
 A snapshot is a single file::
 
-    {"magic": "repro-snapshot", "version": 1, "sha256": "...", ...}\\n
+    {"magic": "repro-snapshot", "version": 2, "sha256": "...", ...}\\n
     <pickle bytes>
 
 The first line is a JSON header carrying the format magic/version, the
@@ -34,7 +34,10 @@ from ..errors import SnapshotError, SnapshotIntegrityError
 PathLike = Union[str, Path]
 
 SNAPSHOT_MAGIC = "repro-snapshot"
-SNAPSHOT_VERSION = 1
+#: Bumped whenever a pickled class changes shape, so an older file is
+#: refused by its header instead of failing somewhere inside unpickle
+#: (2: the trace recorder's per-topic handlers and the bus's tuples).
+SNAPSHOT_VERSION = 2
 
 _JSON_SCALARS = (str, int, float, bool, type(None))
 

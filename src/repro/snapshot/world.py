@@ -221,9 +221,6 @@ class SimWorld:
         for callbacks in list(subscribers.values()):
             for handler in list(callbacks):
                 owner = getattr(handler, "__self__", None)
-                if owner is None:  # functools.partial(bound_method, ...)
-                    owner = getattr(getattr(handler, "func", None),
-                                    "__self__", None)
                 if isinstance(owner, TraceRecorder) and id(owner) not in seen:
                     seen.add(id(owner))
                     owner.close()

@@ -5,7 +5,9 @@
 :func:`~repro.telemetry.records.normalize`, and hands the records to a
 sink (usually a :class:`~repro.telemetry.sinks.JsonlSink`).  Per-topic
 filters and an optional simulated-time window keep trace files small on
-long runs.
+long runs.  For ``packet.*`` topics and a sink that takes finished lines,
+:func:`~repro.telemetry.records.packet_line` writes the same bytes
+without the record dict, three frames below the publish site.
 
 Typical use::
 
@@ -19,11 +21,11 @@ Typical use::
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Any, Iterable, List, Optional, Tuple
+from math import inf
+from typing import Any, Iterable, Optional
 
 from ..sim.trace import ALL_TOPICS, TOPIC_SNAPSHOT_LIFECYCLE, TraceBus
-from .records import normalize
+from .records import PACKET_TOPICS, json_string, normalize, packet_line
 
 #: What a recorder subscribes to when no topics are named.  Everything
 #: except ``snapshot.lifecycle``: save events carry the snapshot path
@@ -33,6 +35,45 @@ from .records import normalize
 #: Name the topic in ``--trace-topics`` to opt in.
 DEFAULT_TOPICS = tuple(topic for topic in ALL_TOPICS
                        if topic != TOPIC_SNAPSHOT_LIFECYCLE)
+
+
+class _TopicHandler:
+    """One topic's subscriber: picklable, payload as named parameters.
+
+    ``packet.*`` events reach :func:`packet_line` with no payload dict;
+    other topics, extra kwargs, a sink without ``write_line`` and what
+    ``packet_line`` declines go to :meth:`TraceRecorder._on_event`
+    (absent keys and these defaults normalise alike).  ``__self__`` is
+    the recorder, as on a bound method, for ``SimWorld.close_recorders``.
+    """
+
+    def __init__(self, recorder: "TraceRecorder", topic: str) -> None:
+        self.__self__ = recorder
+        self.topic = topic
+        self.topic_json = json_string(topic)
+        self.write_line = (getattr(recorder._sink, "write_line", None)
+                           if topic in PACKET_TOPICS else None)
+        start_ns, end_ns = recorder.start_ns, recorder.end_ns
+        self.start_ns = -inf if start_ns is None else start_ns
+        self.end_ns = inf if end_ns is None else end_ns
+
+    def __call__(self, port: Any = "", time: Any = 0, packet: Any = None,
+                 queue: Any = None, detail: Any = "",
+                 queue_bytes: Any = None, **extra: Any) -> None:
+        recorder, write_line = self.__self__, self.write_line
+        if write_line is not None and not extra and type(time) is int:
+            if time < self.start_ns or time > self.end_ns:
+                recorder.records_skipped += 1
+                return
+            line = packet_line(self.topic_json, port, time, packet, queue,
+                               detail, queue_bytes)
+            if line is not None:
+                write_line(line)
+                recorder.records_written += 1
+                return
+        recorder._on_event(self.topic, port=port, time=time, packet=packet,
+                           queue=queue, detail=detail,
+                           queue_bytes=queue_bytes, **extra)
 
 
 class TraceRecorder:
@@ -66,11 +107,9 @@ class TraceRecorder:
         self.end_ns = end_ns
         self.records_written = 0
         self.records_skipped = 0
-        self._handlers: List[Tuple[str, Any]] = []
-        for topic in selected:
-            handler = partial(self._on_event, topic)
-            trace.subscribe(topic, handler)
-            self._handlers.append((topic, handler))
+        self._handlers = [_TopicHandler(self, topic) for topic in selected]
+        for handler in self._handlers:
+            trace.subscribe(handler.topic, handler)
         self._closed = False
 
     # -- event path -----------------------------------------------------------
@@ -91,8 +130,8 @@ class TraceRecorder:
         if self._closed:
             return
         self._closed = True
-        for topic, handler in self._handlers:
-            self._trace.unsubscribe(topic, handler)
+        for handler in self._handlers:
+            self._trace.unsubscribe(handler.topic, handler)
         self._handlers.clear()
         self._sink.close()
 

@@ -32,6 +32,8 @@ subcommand).
 from __future__ import annotations
 
 import json
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -39,6 +41,10 @@ from ..sim.trace import (
     ALL_TOPICS,
     TOPIC_COMPETITIVE_ROUND,
     TOPIC_DYNAQ_RECONFIGURE,
+    TOPIC_PACKET_DEQUEUE,
+    TOPIC_PACKET_DROP,
+    TOPIC_PACKET_ENQUEUE,
+    TOPIC_PACKET_MARK,
     TOPIC_PARALLEL_JOB,
     TOPIC_QUEUE_SNAPSHOT,
     TOPIC_SERVE_JOB,
@@ -147,6 +153,51 @@ def normalize(topic: str, payload: Dict[str, Any]) -> Dict[str, Any]:
     return record
 
 
+# -- the packet topics' straight-line encoder ---------------------------------
+
+#: Topics ports publish with the one fixed payload shape
+#: ``port, time, packet, queue, detail, queue_bytes``.
+PACKET_TOPICS = frozenset((TOPIC_PACKET_DROP, TOPIC_PACKET_ENQUEUE,
+                           TOPIC_PACKET_DEQUEUE, TOPIC_PACKET_MARK))
+
+#: JSON literal of a string.  Port names and drop reasons repeat for the
+#: whole run; the cap bounds memory should ``detail`` be free-form.
+json_string = lru_cache(maxsize=4096)(encode_basestring_ascii)
+_INT_ONLY = frozenset((int,))
+
+
+def packet_line(topic_json: str, port: Any, time: Any, packet: Any,
+                queue: Any, detail: Any, queue_bytes: Any) -> Optional[str]:
+    """The JSONL line of one ``packet.*`` event, or ``None``.
+
+    Byte for byte ``json.dumps(normalize(topic, payload), sort_keys=True)
+    + "\\n"`` for a payload of exactly these six keys (``topic_json`` is
+    ``json_string(topic)``).  ``str()`` of a ``bool``, a float or a
+    subclass is not its JSON, so only exact ``int`` / ``str`` /
+    ``tuple``-of-``int`` are formatted; anything else returns ``None``
+    and the caller goes through :func:`normalize`.
+    """
+    flow = getattr(packet, "flow_id", None)
+    if (type(time) is not int or type(port) is not str
+            or type(detail) is not str
+            or (flow is not None and type(flow) is not int)
+            or (queue is not None and type(queue) is not int)):
+        return None
+    if queue_bytes is None:
+        occupancy = "null"
+    elif (type(queue_bytes) is tuple
+            and _INT_ONLY.issuperset(map(type, queue_bytes))):
+        occupancy = str(list(queue_bytes))
+    else:
+        return None
+    return (f'{{"detail": {json_string(detail)}, '
+            f'"flow": {"null" if flow is None else flow}, '
+            f'"port": {json_string(port)}, '
+            f'"queue": {"null" if queue is None else queue}, '
+            f'"queue_bytes": {occupancy}, "threshold": null, '
+            f'"time_ns": {time}, "topic": {topic_json}}}\n')
+
+
 # -- schema checking ----------------------------------------------------------
 
 def _is_int_list(value: Any) -> bool:
@@ -231,7 +282,7 @@ def validate_trace_file(path: PathLike,
     """
     errors: List[str] = []
     count = 0
-    with Path(path).open() as handle:
+    with Path(path).open(encoding="utf-8", newline="\n") as handle:
         for line_number, line in enumerate(handle, start=1):
             if not line.strip():
                 continue

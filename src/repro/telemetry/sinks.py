@@ -3,7 +3,8 @@
 A sink is anything with ``write(record: dict)`` and ``close()``.  The two
 stdlib implementations cover the practical cases: stream to a JSONL file
 (:class:`JsonlSink`) or keep records in memory for tests and interactive
-analysis (:class:`MemorySink`).
+analysis (:class:`MemorySink`).  A sink with ``write_line(line: str)``
+is handed the ``packet.*`` records as already-encoded lines.
 """
 
 from __future__ import annotations
@@ -12,7 +13,14 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Union
 
+from ..errors import SnapshotError
+
 PathLike = Union[str, Path]
+
+#: ``json.dumps(record, sort_keys=True)`` minus an encoder per record.
+_encode = json.JSONEncoder(sort_keys=True).encode
+#: Same bytes and snapshot ``tell()`` offsets whatever the platform.
+_TEXT = {"encoding": "utf-8", "newline": "\n"}
 
 
 class JsonlSink:
@@ -24,12 +32,16 @@ class JsonlSink:
 
     def __init__(self, path: PathLike) -> None:
         self.path = Path(path)
-        self._handle = self.path.open("w")
+        self._handle = self.path.open("w", **_TEXT)
         self.records_written = 0
 
     def write(self, record: Dict[str, Any]) -> None:
-        self._handle.write(json.dumps(record, sort_keys=True))
-        self._handle.write("\n")
+        self._handle.write(_encode(record) + "\n")
+        self.records_written += 1
+
+    def write_line(self, line: str) -> None:
+        """Append one already-encoded record, newline included."""
+        self._handle.write(line)
         self.records_written += 1
 
     def close(self) -> None:
@@ -56,13 +68,20 @@ class JsonlSink:
         self.records_written = state["records_written"]
         offset = state["offset"]
         if offset is not None and self.path.exists():
-            self._handle = self.path.open("r+")
+            size = self.path.stat().st_size
+            if size < offset:  # truncate() would zero-pad the gap
+                raise SnapshotError(
+                    f"trace file {self.path} is {size} bytes, shorter "
+                    f"than the snapshot's offset {offset}; it is not the "
+                    f"trace this snapshot was recording")
+            self._handle = self.path.open("r+", **_TEXT)
             self._handle.truncate(offset)
             self._handle.seek(offset)
         else:
             # Sink was closed at save time, or the file vanished: reopen
             # (fresh if missing) and immediately match the closed state.
-            self._handle = self.path.open("a" if offset is None else "w")
+            self._handle = self.path.open("a" if offset is None else "w",
+                                          **_TEXT)
             if offset is None:
                 self._handle.close()
 

@@ -27,6 +27,7 @@ from repro.sim.engine import Simulator
 from repro.sim.trace import TOPIC_SNAPSHOT_LIFECYCLE, TraceBus
 from repro.sim.units import milliseconds
 from repro.snapshot import (
+    SNAPSHOT_VERSION,
     SimWorld,
     SnapshotManager,
     SnapshotPolicy,
@@ -95,10 +96,16 @@ def test_unknown_version_rejected(tmp_path):
     manager.save({"a": 1}, path, kind="unit")
     header_line, _, rest = path.read_bytes().partition(b"\n")
     header = json.loads(header_line)
-    header["version"] = 99
-    path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
-    with pytest.raises(SnapshotError):
-        manager.load(path)
+    assert header["version"] == SNAPSHOT_VERSION == 2
+    # 1 is what the builds before the recorder's pickled handlers
+    # changed shape wrote: refused by its header, whatever the payload
+    # would do to pickle.
+    for version in (99, 1):
+        header["version"] = version
+        path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+        with pytest.raises(SnapshotError,
+                           match=f"unsupported snapshot version {version} "):
+            manager.load(path)
 
 
 def test_kind_mismatch_rejected(tmp_path):
@@ -218,6 +225,27 @@ def test_killed_and_restored_run_is_byte_identical(tmp_path, mode):
     assert result_r.samples == result_a.samples
     assert counters_r == counters_a
     assert _sha256(trace_b) == _sha256(trace_a)
+
+
+def test_restore_onto_shorter_trace_is_refused(tmp_path):
+    """A trace shorter than the snapshot's offset is not the file the
+    snapshot was recording; ``truncate`` used to zero-pad the gap and
+    let the resumed run append valid records after NUL bytes."""
+    trace_path = tmp_path / "b.jsonl"
+    snap = tmp_path / "b.snap"
+    session = TelemetrySession(trace_out=trace_path)
+    with session:
+        world = _build_bulk(session.trace)
+        with pytest.raises(SnapshotHalt):
+            run_world(world, SnapshotPolicy(
+                every_ns=milliseconds(7), out=snap, halt_after_saves=1))
+    kept = trace_path.read_bytes()[:64]
+    trace_path.write_bytes(kept)
+    with pytest.raises(SnapshotError, match=r"is 64 bytes, shorter than "
+                       r"the snapshot's offset \d+") as refusal:
+        restore_world(snap, expect_kind="bulk")
+    assert str(trace_path) in str(refusal.value)
+    assert trace_path.read_bytes() == kept  # left as found, no padding
 
 
 @pytest.mark.parametrize("base", ["fast", "reference"])

@@ -2,8 +2,15 @@
 profiler, record schema, and the bundled session."""
 
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dynaq import DynaQBuffer
 from repro.metrics.export import (
@@ -44,6 +51,7 @@ from repro.telemetry import (
     validate_record,
     validate_trace_file,
 )
+from repro.telemetry.records import PACKET_TOPICS
 
 from conftest import FakePort, make_packet
 
@@ -146,6 +154,128 @@ def test_recorder_close_unsubscribes_and_is_idempotent():
                   packet=make_packet(), queue=0, detail="full",
                   queue_bytes=(0,))
     assert sink.records == []
+
+
+def test_trace_files_do_not_depend_on_the_locale(tmp_path):
+    """``-X warn_default_encoding`` makes an ``open`` that leaves the
+    encoding to the locale an error: the sink and the validator name
+    UTF-8 (and ``\\n``), so bytes and snapshot offsets are the same
+    everywhere."""
+    path = tmp_path / "t.jsonl"
+    script = (
+        "import sys\n"
+        "from repro.telemetry import JsonlSink, validate_trace_file\n"
+        "sink = JsonlSink(sys.argv[1])\n"
+        "sink.write({'detail': 'caf\\xe9'})\n"
+        "sink.write_line('{}\\n')\n"
+        "sink.close()\n"
+        "print(validate_trace_file(sys.argv[1])[0])\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding",
+         "-W", "error::EncodingWarning", "-c", script, str(path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["2"]
+    assert path.read_bytes() == b'{"detail": "caf\\u00e9"}\n{}\n'
+
+
+# -- packet_line: the packet topics' encoder vs normalize + json.dumps --------
+
+class _StrSubclass(str):
+    pass
+
+
+class _Flow:
+    def __init__(self, flow_id):
+        self.flow_id = flow_id
+
+
+_ints = st.integers() | st.sampled_from(
+    [0, -1, 2 ** 63, -(2 ** 63) - 1, 2 ** 64 + 1])
+_texts = st.text(max_size=8) | st.sampled_from(
+    ["", "s0->h0", "port buffer full", 'said "no"', "back\\slash",
+     "na\u00efve \u2603 \U0001f40d", "nul\x00 tab\t del\x7f\n", "\ud800"])
+_int_or_none = st.none() | _ints
+#: Values the encoder formats itself, per publish kwarg ...
+_EXACT = {
+    "port": _texts,
+    "time": _ints,
+    "packet": st.none() | st.builds(_Flow, _int_or_none) | st.builds(object),
+    "queue": _int_or_none,
+    "detail": _texts,
+    "queue_bytes": st.none() | st.lists(_ints, max_size=9).map(tuple),
+}
+#: ... and look-alikes whose ``str()`` is not their JSON, or whose JSON
+#: needs ``normalize`` first: each must be handed to the generic route.
+_IMPOSTOR = {
+    "port": st.sampled_from([_StrSubclass("p"), 7, None]),
+    "time": st.sampled_from([True, False, 2.0]),
+    "packet": st.builds(_Flow, st.booleans()),
+    "queue": st.sampled_from([True, 1.5]),
+    "detail": st.sampled_from([_StrSubclass("d"), 3, None]),
+    "queue_bytes": (st.lists(_ints, max_size=4)
+                    | st.sampled_from([(True, 0), (1.5, 2), ((1, 2), 3)])),
+}
+_EXTRA = st.fixed_dictionaries({}, optional={
+    "flow": _int_or_none, "size": _ints, "thresholds": st.just((1, 2))})
+
+
+@st.composite
+def _publishes(draw):
+    """``(kwargs, fast)``: one publish and whether no part of it should
+    need the generic route (absent kwargs do not)."""
+    kwargs, fast = {}, True
+    for name in _EXACT:
+        kind = draw(st.sampled_from(
+            ["exact"] * 5 + ["absent"] * 2 + ["impostor"]))
+        if kind == "impostor":
+            fast = False
+        if kind != "absent":
+            pool = _EXACT if kind == "exact" else _IMPOSTOR
+            kwargs[name] = draw(pool[name])
+    extra = draw(st.just({}) | _EXTRA)
+    return {**kwargs, **extra}, fast and not extra
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(PACKET_TOPICS)),
+       st.lists(_publishes(), min_size=1, max_size=5),
+       st.sampled_from([(None, None), (0, None), (None, 10 ** 6), (-9, 9)]))
+def test_packet_lines_equal_the_generic_encoder(topic, publishes, window):
+    """Byte equality with ``json.dumps(normalize(...), sort_keys=True)``
+    through a live recorder, and the fallback taken exactly when a value
+    is not of the exact type the encoder formats."""
+    start_ns, end_ns = window
+
+    def in_window(kwargs):
+        time = kwargs.get("time", 0)
+        return ((start_ns is None or time >= start_ns)
+                and (end_ns is None or time <= end_ns))
+
+    recorded = [(kwargs, fast) for kwargs, fast in publishes
+                if in_window(kwargs)]
+    generic = []
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "trace.jsonl"
+        bus = TraceBus()
+        recorder = TraceRecorder(bus, JsonlSink(path), topics=[topic],
+                                 start_ns=start_ns, end_ns=end_ns)
+        on_event = recorder._on_event
+        recorder._on_event = lambda topic, **payload: (
+            generic.append(payload), on_event(topic, **payload))
+        for kwargs, _fast in publishes:
+            bus.publish(topic, **kwargs)
+        recorder.close()
+        assert path.read_bytes() == "".join(
+            json.dumps(normalize(topic, kwargs), sort_keys=True) + "\n"
+            for kwargs, _fast in recorded).encode("ascii")
+    assert recorder.records_written == len(recorded)
+    assert recorder.records_skipped == len(publishes) - len(recorded)
+    # Whether a skipped event reached the generic route is not observable.
+    assert (sum(map(in_window, generic))
+            == sum(not fast for _kwargs, fast in recorded))
 
 
 # -- FlightRecorder ----------------------------------------------------------

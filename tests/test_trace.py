@@ -85,6 +85,29 @@ def test_unsubscribe_during_publish_still_delivers_snapshot():
     assert seen == ["first", "second", "first"]
 
 
+def test_subscribe_during_publish_waits_for_the_next_event():
+    # The mirror case: a subscriber added mid-delivery (through publish
+    # or emit) is not called for the event in flight, only from the next
+    # one on — the bus iterates the tuple the topic had when delivery
+    # began and (un)subscribing rebinds the topic to a new one.
+    bus = TraceBus()
+    seen = []
+
+    def late(**kw):
+        seen.append("late")
+
+    def first(**kw):
+        seen.append("first")
+        if seen == ["first"]:
+            bus.subscribe("t", late)
+
+    bus.subscribe("t", first)
+    bus.publish("t")
+    assert seen == ["first"]
+    bus.emit("t", dict)
+    assert seen == ["first", "first", "late"]
+
+
 def test_self_unsubscribe_during_publish():
     bus = TraceBus()
     seen = []
