@@ -32,7 +32,7 @@ chaos:           ## fault-injection smoke (sum(T) == B under link flaps)
 	$(PY) -m repro chaos --faults examples/linkflap.json \
 	    --scheme dynaq --wall-budget 600
 
-sweep-smoke:     ## parallel-executor determinism: serial == --jobs 2 == --resume
+sweep-smoke:     ## parallel-executor determinism: serial == --jobs 2 == --resume; workers preloaded
 	$(PY) -m repro fct --schemes dynaq,pql --loads 0.3 --flows 60 \
 	    > /tmp/repro-sweep-serial.out
 	$(PY) -m repro fct --schemes dynaq,pql --loads 0.3 --flows 60 \
@@ -42,6 +42,7 @@ sweep-smoke:     ## parallel-executor determinism: serial == --jobs 2 == --resum
 	diff /tmp/repro-sweep-serial.out /tmp/repro-sweep-parallel.out
 	diff /tmp/repro-sweep-parallel.out /tmp/repro-sweep-resumed.out
 	rm -f repro-fct.checkpoint.jsonl
+	$(PY) tools/preload_smoke.py
 	@echo "sweep-smoke: serial, parallel, and resumed output identical"
 
 snapshot-smoke:  ## kill a run at an autosave, restore, require identical trace bytes

@@ -2,10 +2,16 @@
 
 The worker lifecycle extracted from the sweep executor's one-shot pool
 loop (:mod:`repro.experiments.parallel`) so a second consumer — the
-long-lived ``repro serve`` daemon — can share it verbatim: spawn-started
-single-job processes, one pipe per worker, and a combined wait over
-pipes *and* process sentinels so a large result being streamed and a
-silent worker death both resolve without deadlock.
+long-lived ``repro serve`` daemon — can share it verbatim: single-job
+processes, one pipe per worker, and a combined wait over pipes *and*
+process sentinels so a large result being streamed and a silent worker
+death both resolve without deadlock.
+
+Every attempt is its own process, forked from a ``forkserver`` that has
+already imported the package (``spawn`` where there is none): a fork,
+not an interpreter boot plus ``import repro``, and still import-time
+state.  The server starts once per process and outlives any fleet;
+workers inherit *its* environment and stdio as of that start.
 
 The fleet is deliberately policy-free.  It launches workers, observes
 them (:class:`FleetEvent`), and kills them; retries, reseeding,
@@ -28,9 +34,11 @@ from __future__ import annotations
 
 import os
 import signal
+import socket
 import threading
 import time
-from multiprocessing import connection, get_context
+from multiprocessing import connection, get_all_start_methods, get_context
+from pathlib import Path
 from typing import Any, Dict, List, NamedTuple, Optional
 
 from ..errors import WORKER_DRILL_EXIT, SnapshotHalt
@@ -46,6 +54,51 @@ EVENT_ERROR = "error"
 EVENT_FATAL = "fatal"
 EVENT_DIED = "died"
 EVENT_HEARTBEAT = "hb"
+
+#: Imported by the fork server before it forks a worker; ``repro.cli``
+#: because workers of ``python -m repro`` re-run ``repro.__main__``.
+PRELOAD = ("repro.experiments.parallel", "repro.cli")
+
+#: Grace a worker that should be exiting gets before it is SIGKILLed.
+REAP_GRACE_S = 1.0
+
+_IMPORT_PID = os.getpid()
+_server_lock = threading.Lock()
+
+
+def preloaded() -> bool:
+    """Whether this process was forked from one that had imported us:
+    true only in a worker of a preloaded server (run it as a
+    ``callable`` job to check a fleet), never under ``spawn``."""
+    return os.getpid() != _IMPORT_PID
+
+
+def worker_context():
+    """The context workers start from; starts the fork server once.
+
+    ``forkserver.main`` drops the ``sys_path`` it is handed and swallows
+    a preload ``ImportError``, so the package's parent directory goes on
+    the environment's ``PYTHONPATH`` while the server is spawned; else
+    the preload silently does nothing (:func:`preloaded` tells).
+    """
+    if "forkserver" not in get_all_start_methods():
+        return get_context("spawn")
+    from multiprocessing import forkserver
+    context = get_context("forkserver")
+    root = str(Path(__file__).resolve().parents[2])
+    with _server_lock:
+        context.set_forkserver_preload(list(PRELOAD))
+        before = os.environ.get("PYTHONPATH")
+        os.environ["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (root, before)))
+        try:
+            forkserver.ensure_running()
+        finally:
+            if before is None:
+                del os.environ["PYTHONPATH"]
+            else:
+                os.environ["PYTHONPATH"] = before
+    return context
 
 
 class FleetEvent(NamedTuple):
@@ -82,9 +135,9 @@ def _worker_main(conn, kind_name: str, params: Dict[str, Any],
     """Worker entry point: run one job, send one terminal message, exit.
 
     Imports from :mod:`repro.experiments.parallel` are deferred: the
-    spawned child resolves this function by name before the registry
-    module is needed, and the late import keeps the two modules free of
-    an import cycle in the parent.
+    child resolves this function by name before the registry module is
+    needed, and the late import keeps the two modules free of an import
+    cycle in the parent.
     """
     from .parallel import JOB_KINDS, _snapshot_policy
 
@@ -149,12 +202,15 @@ class WorkerFleet:
     uses the fleet single-threaded and pays one uncontended lock.
     """
 
-    def __init__(self, *, start_method: str = "spawn",
+    def __init__(self, *,
                  heartbeat_every_s: Optional[float] = None) -> None:
-        self._ctx = get_context(start_method)
+        self._ctx = worker_context()
         self._lock = threading.Lock()
         self._running: Dict[Any, WorkerHandle] = {}  # conn -> handle
         self.heartbeat_every_s = heartbeat_every_s
+        self._wake_recv, self._wake_send = socket.socketpair()
+        self._wake_recv.setblocking(False)
+        self._wake_send.setblocking(False)
 
     def __len__(self) -> int:
         with self._lock:
@@ -192,19 +248,21 @@ class WorkerFleet:
         Heartbeat messages refresh :attr:`WorkerHandle.last_seen` and
         surface as ``hb`` events; a terminal message (``ok`` / ``error``
         / ``fatal``) or a silent death (``died``) reaps the worker and
-        removes it from the fleet.  With no workers at all the call
-        just sleeps out its timeout (a scheduler tick).
+        removes it from the fleet.  :meth:`wake` ends the wait early,
+        with or without workers.
         """
         with self._lock:
             handles = list(self._running.values())
         events: List[FleetEvent] = []
-        if not handles:
-            if timeout:
-                time.sleep(timeout)
-            return events
-        waitables = ([handle.conn for handle in handles]
+        waitables = ([self._wake_recv]
+                     + [handle.conn for handle in handles]
                      + [handle.process.sentinel for handle in handles])
         ready = set(connection.wait(waitables, timeout))
+        if self._wake_recv in ready:
+            try:
+                self._wake_recv.recv(4096)
+            except BlockingIOError:
+                pass  # another poller drained it first
         now = time.monotonic()
         for handle in handles:
             if (handle.conn not in ready
@@ -232,6 +290,14 @@ class WorkerFleet:
                                          handle.process.exitcode))
         return events
 
+    def wake(self) -> None:
+        """Make the current (or next) :meth:`poll` return at once;
+        safe from any thread."""
+        try:
+            self._wake_send.send(b"\0")
+        except BlockingIOError:
+            pass  # buffer full: a wake-up is already pending
+
     def evict(self, handle: WorkerHandle,
               sig: int = signal.SIGKILL) -> None:
         """Kill a worker (default SIGKILL).
@@ -251,17 +317,20 @@ class WorkerFleet:
 
     def terminate_all(self) -> None:
         """Reap the whole fleet (interrupt / drain-deadline path)."""
-        with self._lock:
-            handles = list(self._running.values())
-            self._running.clear()
+        handles = self.live()
         for handle in handles:
             handle.process.terminate()
         for handle in handles:
-            handle.process.join()
-            handle.conn.close()
+            self._reap(handle)
 
     def _reap(self, handle: WorkerHandle) -> None:
-        handle.process.join()
+        # A worker that should be exiting but lingers (a job left a
+        # non-daemon thread, SIGTERM ignored) is killed rather than hang
+        # the poller; what it already delivered counts.
+        handle.process.join(REAP_GRACE_S)
+        if handle.process.exitcode is None:
+            handle.process.kill()
+            handle.process.join()
         handle.conn.close()
         with self._lock:
             self._running.pop(handle.conn, None)

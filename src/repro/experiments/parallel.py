@@ -22,10 +22,12 @@ killing the sweep.
 file as they finish; a sweep restarted with ``resume=True`` replays the
 finished points from the file and only runs what is missing.
 
-Workers are started with the ``spawn`` method (no inherited state, safe
-under any host application), so job parameters must be picklable and
-JSON-serialisable; jobs name their work through the :data:`JOB_KINDS`
-registry rather than by pickling callables.  See ``docs/parallel.md``.
+Every attempt is a fresh process forked from a server that has already
+imported this module (:mod:`repro.experiments.fleet`; no state inherited
+from the launcher, safe under any host application), so job parameters
+must be picklable and JSON-serialisable; jobs name their work through
+the :data:`JOB_KINDS` registry rather than by pickling callables.  See
+``docs/parallel.md``.
 """
 
 from __future__ import annotations
@@ -186,7 +188,7 @@ def resolve_target(text: str) -> Callable[..., Any]:
 
 
 def callable_target(fn: Callable[..., Any]) -> str:
-    """The ``"module:qualname"`` a spawn-started worker can re-import.
+    """The ``"module:qualname"`` a worker process can re-import.
 
     Lambdas, closures, and ``__main__`` functions cannot be named across
     a process boundary; they fail here, at submission time, with a clear
@@ -381,8 +383,8 @@ def _decode_chaos(payload):
 
 
 #: Work a worker process knows how to run, by name.  Only the *name*
-#: crosses the process boundary; the spawned worker re-imports this
-#: module and looks the kind up again, so entries need not be picklable.
+#: crosses the process boundary; the worker looks the kind up again in
+#: its own copy of this module, so entries need not be picklable.
 JOB_KINDS: Dict[str, JobKind] = {
     "callable": JobKind(_run_callable_job, _jsonable, lambda p: p,
                         snapshot=False),
@@ -557,7 +559,6 @@ def parallel_map(specs: Sequence[JobSpec], *, jobs: int = 1,
                  resume: bool = False,
                  trace: Optional[TraceBus] = None,
                  on_result: Optional[Callable[[JobOutcome], None]] = None,
-                 start_method: str = "spawn",
                  autosave_every_ns: Optional[int] = None,
                  autosave_dir: Optional[PathLike] = None
                  ) -> List[JobOutcome]:
@@ -678,7 +679,7 @@ def parallel_map(specs: Sequence[JobSpec], *, jobs: int = 1,
             _run_serial(todo, retries, store, finish, publish, resume)
         elif todo:
             _run_pool(todo, jobs, retries, store, finish, publish,
-                      start_method, resume)
+                      resume)
     finally:
         if store is not None and own_store:
             store.close()
@@ -775,7 +776,7 @@ def _run_pool(todo: Sequence[JobSpec], jobs: int, retries: int,
               store: Optional[SweepCheckpoint],
               finish: Callable[[JobOutcome], None],
               publish: Callable[[str, str], None],
-              start_method: str, resume: bool = False) -> None:
+              resume: bool = False) -> None:
     """Fan jobs out to a :class:`~repro.experiments.fleet.WorkerFleet`.
 
     One process per job attempt: a worker that segfaults, is OOM-killed,
@@ -786,7 +787,7 @@ def _run_pool(todo: Sequence[JobSpec], jobs: int, retries: int,
     process sentinels together so a large result being streamed and a
     silent death are both handled without deadlock.
     """
-    fleet = WorkerFleet(start_method=start_method)
+    fleet = WorkerFleet()
     # Queue entries: (spec, attempt #, seed attempt #, restore?).  The
     # seed attempt lags the attempt counter on restore retries so the
     # resumed run keeps the seed its autosave was produced under.

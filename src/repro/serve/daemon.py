@@ -3,10 +3,12 @@
 One asyncio event loop runs two things: a unix-socket server answering
 the :mod:`~repro.serve.protocol` ops, and a scheduler coroutine that
 feeds accepted jobs to a :class:`~repro.experiments.fleet.WorkerFleet`
-(the same crash-isolated spawn-per-attempt workers the sweep executor
-uses).  The scheduler's blocking fleet poll runs in a thread via
-``run_in_executor``; every data structure is mutated only on the event
-loop, so there is no locking beyond what the fleet does internally.
+(the same crash-isolated process-per-attempt workers the sweep executor
+uses, forked from a server started with the daemon).  The scheduler's
+blocking fleet poll runs in a thread via ``run_in_executor`` and returns
+on a worker message, a worker death, or a ``wake()`` from admission or
+drain; every data structure is mutated only on the event loop, so there
+is no locking beyond what the fleet does internally.
 
 Robustness model, in one paragraph: admissions are written to the
 write-ahead :class:`~repro.serve.wal.JobLog` *before* they are
@@ -76,8 +78,9 @@ from .wal import JobLog
 
 PathLike = Union[str, Path]
 
-#: Scheduler tick: how long one fleet poll blocks.  Bounds drill/evict/
-#: drain latency; well under the default heartbeat cadence.
+#: Longest one fleet poll blocks with nothing to report.  Submissions,
+#: drains and worker events end it early; it only paces what nothing
+#: announces: heartbeat and deadline eviction, backoff gates, drills.
 POLL_S = 0.25
 
 #: Job states.  ``queued``/``running`` are live; the rest are terminal
@@ -266,6 +269,7 @@ class ServeDaemon:
         job = self._make_job(key, kind, params, seed, client)
         self._jobs[key] = job
         self._queue.append(key)
+        self._fleet.wake()
         self._publish("accepted", key)
         return {"status": STATUS_ACCEPTED, "key": key, "cached": False}
 
@@ -520,6 +524,7 @@ class ServeDaemon:
         self._draining = True
         self._drain_deadline = (time.monotonic()
                                 + self.config.drain_timeout_s)
+        self._fleet.wake()
         self._publish(f"drain ({reason})")
 
     def _finish_drain(self) -> None:

@@ -1,15 +1,23 @@
 """Parallel sweep executor: determinism, crash isolation, resume.
 
-The experiments at module scope exist so spawn-started workers can
+The experiments at module scope exist so worker processes can
 re-import them by ``"test_parallel:<name>"`` — the executor rejects
 lambdas and closures for exactly that reason.
 """
 
 import json
 import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
+from repro.experiments import fleet as fleet_module
+from repro.experiments.fleet import EVENT_DIED, EVENT_OK, WorkerFleet
 from repro.experiments.parallel import (
     JOB_KINDS,
     JobSpec,
@@ -25,6 +33,8 @@ from repro.experiments.sweeps import run_sweep, sweep_table
 from repro.metrics.export import write_sweep_csv
 from repro.sim.errors import ConfigurationError, SimulationError
 from repro.sim.trace import TOPIC_PARALLEL_JOB, TraceBus
+
+REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 # -- worker-importable experiments --------------------------------------------
@@ -52,6 +62,35 @@ def fails_on_even_seed(*, x, seed):
 
 def hard_crash(*, x, seed):
     os._exit(3)
+
+
+def lingers(*, x, seed):
+    # Returns, but leaves a non-daemon thread that keeps the process up.
+    threading.Thread(target=time.sleep, args=(3600,)).start()
+    return {"m": float(x)}
+
+
+def mutate_state(*, x, seed):
+    from repro.perf.config import REFERENCE, set_config
+    set_config(REFERENCE)
+    fleet_module.REAP_GRACE_S = 99.0
+    os.environ["REPRO_TEST_LEAK"] = "1"
+    return observe_state(x=x, seed=seed)
+
+
+def observe_state(*, x, seed):
+    from repro.perf.config import FAST, active_config
+    return {"fast": active_config() is FAST,
+            "grace": fleet_module.REAP_GRACE_S,
+            "env": os.environ.get("REPRO_TEST_LEAK")}
+
+
+def crash_43(*, x, seed):
+    os._exit(43)
+
+
+def sleeps(*, x, seed):
+    time.sleep(x)
 
 
 def scaled(*, x, w, seed):
@@ -154,6 +193,111 @@ def test_worker_death_is_isolated_and_reported():
     assert "worker died" in crashed.error
     assert "3" in crashed.error
     assert survived.ok and survived.value["m"] == 37.0
+
+
+def _terminal(fleet, deadline_s=30.0):
+    """The fleet's next terminal event."""
+    deadline = time.monotonic() + deadline_s
+    while time.monotonic() < deadline:
+        for event in fleet.poll(0.25):
+            if event.kind != "hb":
+                return event
+    raise AssertionError(f"no terminal event within {deadline_s}s")
+
+
+def _launch(fleet, fn, x=1):
+    return fleet.launch("callable", _spec(fn, label="t", x=x).params)
+
+
+def test_lingering_worker_is_reaped_and_its_result_counts(monkeypatch):
+    # A worker that delivered its result but never exits used to hang
+    # poll() in an unbounded join; run the sweep on a thread so the
+    # regression is a failure, not a stuck suite.
+    monkeypatch.setattr(fleet_module, "REAP_GRACE_S", 0.2)
+    box = {}
+    specs = [_spec(lingers, label="linger", x=3),
+             _spec(quadratic, label="ok", x=2)]
+    sweep = threading.Thread(
+        target=lambda: box.update(out=parallel_map(specs, jobs=2)),
+        daemon=True)
+    sweep.start()
+    sweep.join(30.0)
+    assert not sweep.is_alive(), "parallel_map hung on a lingering worker"
+    assert [outcome.value for outcome in box["out"]] == [
+        {"m": 3.0}, {"m": 5.0, "sparse": None}]
+
+    fleet = WorkerFleet()
+    handle = _launch(fleet, lingers)
+    event = _terminal(fleet)
+    assert (event.kind, event.payload) == (EVENT_OK, {"m": 1.0})
+    assert len(fleet) == 0
+    assert handle.process.exitcode == -signal.SIGKILL  # gone, by force
+
+
+def test_attempts_share_no_state_and_deaths_keep_their_exit_codes():
+    # Every attempt is forked from the server's import-time state, so
+    # what one job does to a module global, the active PerfConfig or
+    # the environment is invisible to the next job on the same fleet.
+    fleet = WorkerFleet()
+    _launch(fleet, mutate_state)
+    mutated = _terminal(fleet).payload
+    assert mutated == {"fast": False, "grace": 99.0, "env": "1"}
+    _launch(fleet, observe_state)
+    assert _terminal(fleet).payload == {
+        "fast": True, "grace": fleet_module.REAP_GRACE_S, "env": None}
+    # ...and is still a process of its own: a crash and an eviction
+    # surface as ``died`` with the exit code the kernel reported.
+    _launch(fleet, crash_43)
+    crashed = _terminal(fleet)
+    assert (crashed.kind, crashed.payload) == (EVENT_DIED, 43)
+    handle = _launch(fleet, sleeps, x=60)
+    fleet.evict(handle)
+    killed = _terminal(fleet)
+    assert (killed.kind, killed.payload) == (EVENT_DIED, -signal.SIGKILL)
+    assert len(fleet) == 0
+
+
+PRELOAD_PROBE = {"target": "repro.experiments.fleet:preloaded",
+                 "kwargs": {}}
+
+_PROBE_SCRIPT = """
+import sys
+sys.path.insert(0, {src!r})
+from repro.experiments.parallel import JobSpec, parallel_map
+probe = {probe!r}
+outcomes = parallel_map([JobSpec(name, "callable", probe)
+                         for name in "ab"], jobs=2)
+print([outcome.value for outcome in outcomes])
+"""
+
+
+@pytest.mark.skipif("forkserver" not in fleet_module.get_all_start_methods(),
+                    reason="platform has no forkserver")
+@pytest.mark.parametrize("pythonpath", [None, REPO_SRC])
+def test_workers_are_forked_from_a_preloaded_server(tmp_path, pythonpath):
+    # By a count, not a clock: a worker forked from a server that had
+    # already imported the package did not import it itself.  The
+    # server gets neither a cwd nor (first case) a PYTHONPATH that
+    # leads to the package; 3.11's forkserver ignores sys_path.
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONPATH"}
+    if pythonpath:
+        env["PYTHONPATH"] = pythonpath
+    script = _PROBE_SCRIPT.format(src=REPO_SRC, probe=PRELOAD_PROBE)
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[True, True]"
+
+
+def test_jobs_still_run_where_there_is_no_forkserver(monkeypatch):
+    monkeypatch.setattr(fleet_module, "get_all_start_methods",
+                        lambda: ["spawn"])
+    outcomes = parallel_map([JobSpec("probe", "callable", PRELOAD_PROBE),
+                             _spec(quadratic, label="ok", x=2)], jobs=2)
+    assert [outcome.value for outcome in outcomes] == [
+        False, {"m": 5.0, "sparse": None}]
 
 
 def test_bad_arguments_rejected():

@@ -37,6 +37,7 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.runner import retry_backoff
 from repro.serve import JobLog, ServeClient, ServeConfig, ServeDaemon
+from repro.serve import daemon as daemon_module
 from repro.serve.protocol import decode_frame, encode_frame
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -235,6 +236,19 @@ def test_evicted_worker_surfaces_as_died():
     assert len(fleet) == 0
 
 
+def test_wake_ends_a_poll_of_an_empty_fleet():
+    fleet = WorkerFleet()
+    box = {}
+    poller = threading.Thread(
+        target=lambda: box.update(events=fleet.poll(30.0)), daemon=True)
+    poller.start()
+    time.sleep(0.1)
+    assert poller.is_alive()  # nothing to report: still waiting
+    fleet.wake()
+    poller.join(10.0)
+    assert not poller.is_alive() and box["events"] == []
+
+
 # -- live daemon on a background thread ----------------------------------------
 
 @contextmanager
@@ -288,6 +302,25 @@ def test_submit_wait_runs_job_and_serves_cached_result(tmp_path):
         listed = client.jobs()["jobs"]
         assert [job["state"] for job in listed] == ["done"]
     assert box["code"] == 0
+
+
+def test_idle_daemon_launches_and_drains_without_a_tick(tmp_path,
+                                                       monkeypatch):
+    # With the tick stretched past every deadline below, only the wake
+    # channel can start the job and end the idle daemon.
+    monkeypatch.setattr(daemon_module, "POLL_S", 120.0)
+    with running_daemon(tmp_path) as (daemon, box):
+        time.sleep(0.3)  # the scheduler is parked in its first poll
+        client = ServeClient(daemon.config.socket_path)
+        key = client.submit("callable", {"target": "json:dumps",
+                                         "kwargs": {"obj": 7}})["key"]
+        deadline = time.monotonic() + 20.0
+        while client.result(key)["status"] != "ok":
+            assert time.monotonic() < deadline, "submit waited for a tick"
+            time.sleep(0.02)
+        began = time.monotonic()
+    assert box["code"] == 0
+    assert time.monotonic() - began < 20.0, "drain waited for a tick"
 
 
 def test_simulation_errors_reseed_then_fail_with_budget(tmp_path):

@@ -5,9 +5,12 @@ Drives the real CLI as subprocesses, the way an operator would:
 
 1. start a daemon with ``--drill`` (a random live worker is SIGKILLed
    on a cadence) and mid-sim autosaves on;
-2. submit a small fct grid through the unix socket;
-3. wait for every job to finish despite the drill kills;
-4. SIGTERM the daemon and require a clean drain: exit code 0 within
+2. submit one no-op probe job that answers whether its worker was
+   forked from a preloaded server (required wherever the platform has
+   ``forkserver``) and report its turnaround (informational);
+3. submit a small fct grid through the unix socket;
+4. wait for every job to finish despite the drill kills;
+5. SIGTERM the daemon and require a clean drain: exit code 0 within
    the deadline, socket removed, trace file schema-valid.
 
 Artifacts (daemon log, WAL, trace) are written to ``--workdir`` and
@@ -23,6 +26,7 @@ import signal
 import subprocess
 import sys
 import time
+from multiprocessing import get_all_start_methods
 from pathlib import Path
 
 from repro.serve import STATUS_OK, ServeClient, TERMINAL_STATUSES
@@ -31,6 +35,8 @@ from repro.telemetry import validate_trace_file
 GRID = [{"scheme": scheme, "load": load, "num_flows": 30,
          "workload": "web_search", "truncate_mb": 1.0, "seed": 1}
         for scheme in ("dynaq", "besteffort") for load in (0.3, 0.5)]
+
+PROBE = {"target": "repro.experiments.fleet:preloaded", "kwargs": {}}
 
 
 def fail(message, log_path=None):
@@ -82,6 +88,19 @@ def main():
             time.sleep(0.1)
 
         client = ServeClient(str(sock))
+        began = time.monotonic()
+        probe = client.submit("callable", PROBE, client="smoke", wait=True)
+        turnaround_ms = (time.monotonic() - began) * 1e3
+        if probe.get("status") != STATUS_OK:
+            return fail(f"probe job did not succeed: {probe}", log)
+        print(f"serve-smoke: no-op turnaround {turnaround_ms:.0f} ms "
+              f"(attempts={probe.get('attempts')}, "
+              f"preloaded={probe['payload']})")
+        if ("forkserver" in get_all_start_methods()
+                and probe["payload"] is not True):
+            return fail("the worker was not forked from a preloaded "
+                        "server: every job pays an import", log)
+
         keys = []
         for params in GRID:
             response = client.submit("fct", params, seed=1,
