@@ -639,7 +639,6 @@ class EgressPort:
             comp_time = sim.now + tx_ns
             free = sim._free
             seq = sim._seq
-            cal = sim._cal
             cb = self._tx_complete
             if free:
                 comp = free.pop()
@@ -668,15 +667,9 @@ class EgressPort:
                 delivery = Event(dtime, dseq, cb, (packet,))
             sim._seq = dseq + 1
             sim._live += 2
-            if cal is not None:
-                cal.push((comp_time, seq, comp))
-                cal.push((dtime, dseq, delivery))
-            else:
-                heap = sim._heap
-                heappush(heap, (comp_time, seq, comp))
-                heappush(heap, (dtime, dseq, delivery))
-                if len(heap) >= sim._cal_trigger:
-                    sim._engage_calendar()
+            heap = sim._heap
+            heappush(heap, (comp_time, seq, comp))
+            heappush(heap, (dtime, dseq, delivery))
         else:
             sim.schedule(tx_ns, self._tx_complete)
             delivery = sim.schedule(tx_ns + self.prop_delay_ns,
@@ -935,7 +928,7 @@ class EgressPort:
             # horizon so packets the per-packet path would deliver
             # before `until` are never deferred past it.
             comp_time = departs[-1]
-            if sim._cal is None and sim._triples:
+            if sim.pooling:
                 # Fused inline of sim.at for the batch's two events
                 # (pooled triple-heap mode): one block allocates or
                 # reuses both and shares the seq/heap bookkeeping.
@@ -977,8 +970,6 @@ class EgressPort:
                 push(heap, (comp_time, seq, comp))
                 sim._seq = seq + 1
                 sim._live += 2
-                if len(heap) >= sim._cal_trigger:
-                    sim._engage_calendar()
             else:
                 deliveries = sim.at(last_delivery, self._deliver_batch_cb,
                                     packets, departs)

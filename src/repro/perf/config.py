@@ -92,14 +92,6 @@ class PerfConfig:
         *both* FAST and REFERENCE so the differential harness keeps
         comparing the unchanged datapaths; when enabled it must be
         enabled on both sides (see the ``fig05_diagnosed`` bench).
-    calendar_queue:
-        :class:`~repro.sim.engine.Simulator` swaps its binary heap for a
-        bucketed calendar queue once the pending-event count crosses a
-        warmup threshold (dense workloads only; small heaps stay on the
-        heap).  Bucket width is sized from the observed inter-event
-        spacing at engagement; far-future events overflow to a side
-        heap.  Ordering stays exact ``(time, seq)`` FIFO, so traces are
-        byte-identical to the heap path.
     batched_link_advance:
         ``EgressPort`` commits a run of back-to-back transmissions on an
         uncontended, fault-free, untraced link in one pass — scheduling
@@ -114,8 +106,7 @@ class PerfConfig:
                  "incremental_victim", "batched_stats",
                  "cached_decisions", "tx_time_cache", "lazy_round_time",
                  "inline_hot_calls", "heap_scan_inflight",
-                 "queue_diagnosis", "calendar_queue",
-                 "batched_link_advance")
+                 "queue_diagnosis", "batched_link_advance")
 
     def __init__(self, *, event_pooling: bool = True,
                  packet_pooling: bool = True,
@@ -128,7 +119,6 @@ class PerfConfig:
                  inline_hot_calls: bool = True,
                  heap_scan_inflight: bool = True,
                  queue_diagnosis: bool = False,
-                 calendar_queue: bool = True,
                  batched_link_advance: bool = True) -> None:
         self.event_pooling = event_pooling
         self.packet_pooling = packet_pooling
@@ -141,7 +131,6 @@ class PerfConfig:
         self.inline_hot_calls = inline_hot_calls
         self.heap_scan_inflight = heap_scan_inflight
         self.queue_diagnosis = queue_diagnosis
-        self.calendar_queue = calendar_queue
         self.batched_link_advance = batched_link_advance
 
     def clone(self, **overrides: bool) -> "PerfConfig":
@@ -169,8 +158,7 @@ REFERENCE = PerfConfig(event_pooling=False, packet_pooling=False,
                        batched_stats=False, cached_decisions=False,
                        tx_time_cache=False, lazy_round_time=False,
                        inline_hot_calls=False, heap_scan_inflight=False,
-                       queue_diagnosis=False, calendar_queue=False,
-                       batched_link_advance=False)
+                       queue_diagnosis=False, batched_link_advance=False)
 
 _active: PerfConfig = FAST
 

@@ -35,28 +35,21 @@ Handles that are cleared inside their own callback (RTO timers, delayed
 ACK timers, the watchdog) never observe a recycled object and need no
 versioning.  ``tests/test_perf_pooling.py`` locks these rules in.
 
-Calendar queue
---------------
+One queue, two layouts
+----------------------
 
-With :attr:`repro.perf.config.PerfConfig.calendar_queue` on (the default)
-a simulator whose pending-event population crosses a warmup threshold
-swaps the binary heap for a :class:`CalendarQueue`: fixed-width time
-buckets (width sized from the observed inter-event spacing at engagement)
-scanned with a lazily rotating day pointer, plus an overflow heap for
-far-future events.  Each bucket is itself a tiny heap of the same
-``(time, seq, event)`` triples the pooled binary heap stores, so ordering
-— and therefore every trace byte — is identical to the heap path; dead
-(cancelled) entries ride along and are skipped on pop exactly as the heap
-does it.  Small simulations never cross the threshold and keep the plain
-heap, paying only one pointer test per schedule.
+The binary heap is the only event queue.  A pooled simulator stores
+``(time, seq, event)`` triples so ordering compares plain ints in C; an
+unpooled one (the reference oracle) stores bare :class:`Event` objects
+ordered by :meth:`Event.__lt__`.  Both pop in exactly ``(time, seq)``
+order, which ``tests/test_sim_engine.py`` checks in lockstep.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from time import perf_counter
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from ..perf.config import active_config
 from .errors import SimulationError
@@ -64,23 +57,6 @@ from .errors import SimulationError
 #: Free-list size cap: enough to absorb the steady-state event population
 #: of the largest experiments while bounding worst-case retained memory.
 EVENT_POOL_CAP = 8192
-
-#: Pending-event count at which a calendar-enabled simulator swaps its
-#: binary heap for the calendar queue.  Below this a heap is faster (and
-#: the bench microworkloads deliberately stay below it, so the calendar
-#: engages only under genuine event density).  ``REPRO_CALENDAR_WARMUP``
-#: overrides it process-wide, which is how CI forces engagement on
-#: workloads that would otherwise stay dormant.
-CALENDAR_WARMUP = 128
-
-#: Bucket count for the calendar queue (one "year" spans
-#: ``CALENDAR_NBUCKETS * width`` nanoseconds).
-CALENDAR_NBUCKETS = 512
-
-#: Engagement-trigger sentinel: a pending-event count no real heap ever
-#: reaches, used as the threshold when the calendar is disabled or
-#: already engaged so the schedule hot path pays one int compare only.
-_CAL_OFF = 1 << 62
 
 
 class Event:
@@ -121,141 +97,6 @@ class Event:
         return f"<Event t={self.time} #{self.seq} g{self.gen} {name}{state}>"
 
 
-class CalendarQueue:
-    """Bucketed priority queue over ``(time, seq, event)`` triples.
-
-    The classic calendar-queue structure specialised for this kernel:
-
-    * ``nbuckets`` fixed-width buckets; an entry at time ``t`` lives in
-      bucket ``(t // width) % nbuckets``;
-    * a single-year invariant — every bucketed entry satisfies
-      ``day_start <= t < limit`` with ``limit - day_start <= nbuckets *
-      width`` — so scanning buckets from the ``day`` pointer visits
-      strictly increasing time windows and the first non-empty bucket's
-      heap head is the global minimum;
-    * entries at or past ``limit`` wait in an ``overflow`` heap and
-      migrate into the buckets when the bucketed population drains;
-    * a push *before* ``day_start`` (rare: only cancel/requeue patterns
-      produce it) rewinds the day pointer and, if the span would exceed
-      one year, shrinks ``limit`` and evicts now-out-of-window entries to
-      the overflow heap, preserving the invariant.
-
-    Each bucket is a plain ``heapq`` list, so within a bucket — and hence
-    globally — ordering is exactly the ``(time, seq)`` order the binary
-    heap produces.  Dead (cancelled) entries are popped lazily by the
-    caller, as with the heap.  All state is plain lists/ints, so pickling
-    a mid-run simulator (the snapshot layer) round-trips it unchanged.
-    """
-
-    __slots__ = ("width", "nbuckets", "buckets", "count", "overflow",
-                 "day", "day_start", "limit")
-
-    def __init__(self, width: int, nbuckets: int, start: int) -> None:
-        self.width = width
-        self.nbuckets = nbuckets
-        self.buckets: List[List[tuple]] = [[] for _ in range(nbuckets)]
-        self.count = 0          # entries currently in buckets
-        self.overflow: List[tuple] = []
-        window = start // width
-        self.day = window % nbuckets
-        self.day_start = window * width
-        self.limit = self.day_start + nbuckets * width
-
-    def __len__(self) -> int:
-        return self.count + len(self.overflow)
-
-    def push(self, entry: tuple) -> None:
-        t = entry[0]
-        if t >= self.limit:
-            heapq.heappush(self.overflow, entry)
-            return
-        if t < self.day_start:
-            self._rewind(t)
-        heapq.heappush(self.buckets[(t // self.width) % self.nbuckets],
-                       entry)
-        self.count += 1
-
-    def _rewind(self, t: int) -> None:
-        """Move the day pointer back to cover ``t``; shrink the year if
-        the span would otherwise exceed ``nbuckets * width``."""
-        window = t // self.width
-        new_start = window * self.width
-        new_limit = new_start + self.nbuckets * self.width
-        if new_limit < self.limit:
-            if self.count:
-                for bucket in self.buckets:
-                    if not bucket:
-                        continue
-                    evict = [e for e in bucket if e[0] >= new_limit]
-                    if evict:
-                        keep = [e for e in bucket if e[0] < new_limit]
-                        heapq.heapify(keep)
-                        bucket[:] = keep
-                        for e in evict:
-                            heapq.heappush(self.overflow, e)
-                        self.count -= len(evict)
-            self.limit = new_limit
-        self.day = window % self.nbuckets
-        self.day_start = new_start
-
-    def _migrate(self) -> None:
-        """Re-anchor the year at the earliest overflow entry and pull
-        every overflow entry inside the new year into the buckets.  Only
-        called when the buckets are empty."""
-        overflow = self.overflow
-        width = self.width
-        nbuckets = self.nbuckets
-        window = overflow[0][0] // width
-        self.day = window % nbuckets
-        self.day_start = window * width
-        self.limit = limit = self.day_start + nbuckets * width
-        buckets = self.buckets
-        moved = 0
-        while overflow and overflow[0][0] < limit:
-            entry = heapq.heappop(overflow)
-            heapq.heappush(buckets[(entry[0] // width) % nbuckets], entry)
-            moved += 1
-        self.count = moved
-
-    def head(self) -> Optional[tuple]:
-        """The minimum entry without removing it, or ``None`` if empty.
-        Positions the day pointer on the head's bucket, so a following
-        :meth:`pop` is O(log bucket size)."""
-        if not self.count:
-            if not self.overflow:
-                return None
-            self._migrate()
-        buckets = self.buckets
-        day = self.day
-        start = self.day_start
-        width = self.width
-        nbuckets = self.nbuckets
-        while True:
-            bucket = buckets[day]
-            if bucket:
-                self.day = day
-                self.day_start = start
-                return bucket[0]
-            day += 1
-            if day == nbuckets:
-                day = 0
-            start += width
-
-    def pop(self) -> tuple:
-        """Remove and return the minimum entry.  Only valid immediately
-        after :meth:`head` returned non-``None`` (which positioned the
-        day pointer)."""
-        entry = heapq.heappop(self.buckets[self.day])
-        self.count -= 1
-        return entry
-
-    def entries(self) -> Iterator[tuple]:
-        """Every stored triple, in no particular order (dead included)."""
-        for bucket in self.buckets:
-            yield from bucket
-        yield from self.overflow
-
-
 class Simulator:
     """Event loop with an integer-nanosecond clock.
 
@@ -269,22 +110,17 @@ class Simulator:
     makes the loop time every callback; the attribute is ``None`` by
     default and costs one local truth test per event when unset.
 
-    ``pooling`` selects event recycling explicitly; ``calendar`` selects
-    the calendar-queue scheduler (with ``calendar_warmup`` the pending
-    count at which it engages).  Both default to
+    ``pooling`` selects event recycling explicitly; it defaults to
     :func:`repro.perf.config.active_config` at construction time.
     """
 
-    def __init__(self, *, pooling: Optional[bool] = None,
-                 calendar: Optional[bool] = None,
-                 calendar_warmup: Optional[int] = None) -> None:
+    def __init__(self, *, pooling: Optional[bool] = None) -> None:
         self.now: int = 0
-        # Heap layout is fixed at construction: pooled or calendar-enabled
-        # simulators store (time, seq, event) triples so ordering compares
-        # plain ints in C; the reference path stores bare Events ordered
-        # by Event.__lt__, as the pre-optimisation engine did.  seq
-        # uniqueness guarantees triple comparison never falls through to
-        # the Event object.
+        # Heap layout is fixed at construction: pooled simulators store
+        # (time, seq, event) triples so ordering compares plain ints in C;
+        # the reference path stores bare Events ordered by Event.__lt__,
+        # as the pre-optimisation engine did.  seq uniqueness guarantees
+        # triple comparison never falls through to the Event object.
         self._heap: List[Any] = []
         self._seq: int = 0
         self._live: int = 0
@@ -294,32 +130,14 @@ class Simulator:
         self.events_cancelled: int = 0
         self.events_reused: int = 0
         self.profiler = None  # duck-typed: record(callback, elapsed_s, heap_len)
-        cfg = None
         if pooling is None:
-            cfg = active_config()
-            pooling = cfg.event_pooling
+            pooling = active_config().event_pooling
         self.pooling = pooling
-        if calendar is None:
-            calendar = (cfg or active_config()).calendar_queue
-        if calendar_warmup is None:
-            calendar_warmup = int(os.environ.get("REPRO_CALENDAR_WARMUP",
-                                                 CALENDAR_WARMUP))
-        self._cal_warmup = calendar_warmup
-        self._cal: Optional[CalendarQueue] = None
-        self._cal_pending = calendar
-        # Fused engagement trigger: one int compare on the schedule hot
-        # path instead of a flag test plus a threshold read.  _CAL_OFF
-        # (unreachable) means "never engage" — calendar disabled or
-        # already engaged.
-        self._cal_trigger = calendar_warmup if calendar else _CAL_OFF
-        self._triples = pooling or calendar
         # The inclusive horizon of the run() call in progress (None when
         # idle or unbounded) — read by batched-advance code that must not
         # commit state past the point where the clock will stop.
         self._run_until: Optional[int] = None
         self._free: List[Event] = []
-        if calendar and calendar_warmup <= 0:
-            self._engage_calendar()
 
     # -- scheduling ----------------------------------------------------------
 
@@ -351,14 +169,7 @@ class Simulator:
             event = Event(time, seq, callback, args)
         self._seq = seq + 1
         self._live += 1
-        cal = self._cal
-        if cal is not None:
-            cal.push((time, seq, event))
-        else:
-            heap = self._heap
-            heapq.heappush(heap, (time, seq, event))
-            if len(heap) >= self._cal_trigger:
-                self._engage_calendar()
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def at(self, time: int, callback: Callable[..., None],
@@ -382,14 +193,8 @@ class Simulator:
             event = Event(time, seq, callback, args)
         self._seq = seq + 1
         self._live += 1
-        cal = self._cal
-        if cal is not None:
-            cal.push((time, seq, event))
-        elif self._triples:
-            heap = self._heap
-            heapq.heappush(heap, (time, seq, event))
-            if len(heap) >= self._cal_trigger:
-                self._engage_calendar()
+        if self.pooling:
+            heapq.heappush(self._heap, (time, seq, event))
         else:
             heapq.heappush(self._heap, event)
         return event
@@ -413,8 +218,7 @@ class Simulator:
         free = self._free
         pop = free.pop
         seq = self._seq
-        cal = self._cal
-        triples = self._triples
+        pooling = self.pooling
         heap = self._heap
         push = heapq.heappush
         reused = 0
@@ -430,9 +234,7 @@ class Simulator:
                 reused += 1
             else:
                 event = Event(time, seq, callback, (items[i],))
-            if cal is not None:
-                cal.push((time, seq, event))
-            elif triples:
+            if pooling:
                 push(heap, (time, seq, event))
             else:
                 push(heap, event)
@@ -441,8 +243,6 @@ class Simulator:
         self._seq = seq
         self._live += len(events)
         self.events_reused += reused
-        if cal is None and len(heap) >= self._cal_trigger:
-            self._engage_calendar()
         return events
 
     def cancel(self, event: Optional[Event]) -> None:
@@ -481,9 +281,17 @@ class Simulator:
         ``until`` is inclusive: events scheduled exactly at ``until`` run.
         ``max_events`` bounds total callbacks executed in this call — a
         safety valve for property tests and runaway configurations.
+        A horizon before :attr:`now` is refused: the clock never runs
+        backwards (``until == now`` is legal and runs what is due now).
         """
         if self._running:
             raise SimulationError("simulator is already running (reentrant run)")
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"cannot run until t={until} < now={self.now}")
+        if max_events is not None and max_events < 0:
+            raise SimulationError(
+                f"max_events must be >= 0 (got {max_events})")
         self._running = True
         self._stopped = False
         self._run_until = until
@@ -498,25 +306,11 @@ class Simulator:
             self._running = False
 
     def _run_pooled(self, until: Optional[int]) -> None:
-        """Dispatcher for the common pooled case (no profiler, no
-        ``max_events``): alternate the heap and calendar drain loops so a
-        calendar that engages *mid-run* (a callback pushed the pending
-        count over the warmup threshold) is picked up without missing a
-        beat."""
-        while True:
-            if self._cal is not None:
-                self._drain_cal_pooled(until)
-                return
-            if self._drain_heap_pooled(until):
-                return
-
-    def _drain_heap_pooled(self, until: Optional[int]) -> bool:
-        """Tight heap run loop.  Byte-for-byte the same semantics as the
-        general loop — same ordering, same clock behaviour, same counters —
-        with the per-event release inlined and the optional checks hoisted
-        out of the hot loop.  Returns ``True`` when the run is finished,
-        ``False`` when the calendar engaged mid-drain and the dispatcher
-        must continue on it.
+        """Tight run loop for the common pooled case (no profiler, no
+        ``max_events``).  Byte-for-byte the same semantics as the general
+        loop — same ordering, same clock behaviour, same counters — with
+        the per-event release inlined and the optional checks hoisted out
+        of the hot loop.
 
         ``until`` is compared with the explicit ``bounded`` flag rather
         than a ``float("inf")`` sentinel: event times are integers, and
@@ -545,7 +339,7 @@ class Simulator:
                 time = entry[0]
                 if bounded and time > until:
                     self.now = until
-                    return True
+                    return
                 pop(heap)
                 event.cancelled = True  # consumed; see Event docstring
                 self.now = time
@@ -569,15 +363,9 @@ class Simulator:
                     event.args = ()
                     free.append(event)
                 if self._stopped:
-                    return True
-            # Mid-drain engagement empties the heap in place, so the
-            # while condition falls out naturally — one check here
-            # replaces a per-event check inside the hot loop.
-            if self._cal is not None:
-                return False
+                    return
             if bounded and self.now < until:
                 self.now = until
-            return True
         finally:
             # Executed events leave the live set in one batch.  Safe to
             # defer: consumed events are marked cancelled before their
@@ -587,94 +375,27 @@ class Simulator:
             self.events_executed += executed
             self._live -= executed
 
-    def _drain_cal_pooled(self, until: Optional[int]) -> None:
-        """Calendar twin of :meth:`_drain_heap_pooled`.  A calendar never
-        disengages, so no switch check is needed inside the loop."""
-        cal = self._cal
-        free = self._free
-        bounded = until is not None
-        executed = 0
-        try:
-            while True:
-                entry = cal.head()
-                if entry is None:
-                    if bounded and self.now < until:
-                        self.now = until
-                    return
-                event = entry[2]
-                if event.cancelled:
-                    cal.pop()
-                    if len(free) < EVENT_POOL_CAP:
-                        event.callback = None
-                        event.args = ()
-                        free.append(event)
-                    continue
-                time = entry[0]
-                if bounded and time > until:
-                    self.now = until
-                    return
-                cal.pop()
-                event.cancelled = True  # consumed; see Event docstring
-                self.now = time
-                executed += 1
-                try:
-                    event.callback(*event.args)
-                except BaseException:
-                    if len(free) < EVENT_POOL_CAP:
-                        event.callback = None
-                        event.args = ()
-                        free.append(event)
-                    raise
-                if len(free) < EVENT_POOL_CAP:
-                    event.callback = None
-                    event.args = ()
-                    free.append(event)
-                if self._stopped:
-                    return
-        finally:
-            self.events_executed += executed
-            self._live -= executed
-
     def _run_general(self, until: Optional[int],
                      max_events: Optional[int]) -> None:
-        """The general loop: any heap layout, optional profiler and
-        ``max_events``, calendar engagement mid-run."""
+        """The general loop: either heap layout, optional profiler and
+        ``max_events``."""
         heap = self._heap
         profiler = self.profiler
         pooling = self.pooling
-        triples = self._triples
         executed = 0
-        while True:
-            cal = self._cal
-            if cal is not None:
-                entry = cal.head()
-                if entry is None:
-                    if until is not None and self.now < until:
-                        self.now = until
-                    break
-                event = entry[2]
-                if event.cancelled:
-                    cal.pop()
-                    if pooling:
-                        self._release(event)
-                    continue
-                if until is not None and event.time > until:
+        while max_events is None or executed < max_events:
+            if not heap:
+                if until is not None and self.now < until:
                     self.now = until
-                    break
-                cal.pop()
-            else:
-                if not heap:
-                    if until is not None and self.now < until:
-                        self.now = until
-                    break
-                event = heap[0][2] if triples else heap[0]
-                if event.cancelled:
-                    self._compact_head()
-                    continue
-                if until is not None and event.time > until:
-                    self.now = until
-                    break
-                heapq.heappop(heap)
+                break
+            event = heap[0][2] if pooling else heap[0]
+            if event.cancelled:
+                self._compact_head()
+                continue
+            if until is not None and event.time > until:
+                self.now = until
+                break
+            heapq.heappop(heap)
             event.cancelled = True  # consumed; see Event docstring
             self._live -= 1
             self.now = event.time
@@ -691,8 +412,7 @@ class Simulator:
                     start = perf_counter()
                     event.callback(*event.args)
                     profiler.record(
-                        event.callback, perf_counter() - start,
-                        len(cal) if cal is not None else len(heap))
+                        event.callback, perf_counter() - start, len(heap))
             except BaseException:
                 # Consumed events are recycled even when their callback
                 # raises, keeping pool_size() in lockstep with the pooled
@@ -703,8 +423,6 @@ class Simulator:
             if pooling:
                 self._release(event)
             if self._stopped:
-                break
-            if max_events is not None and executed >= max_events:
                 break
 
     def stop(self) -> None:
@@ -736,13 +454,9 @@ class Simulator:
     def peek_time(self) -> Optional[int]:
         """Timestamp of the next live event, or ``None`` if idle."""
         self._compact_head()
-        cal = self._cal
-        if cal is not None:
-            entry = cal.head()
-            return None if entry is None else entry[0]
         if not self._heap:
             return None
-        return self._heap[0][0] if self._triples else self._heap[0].time
+        return self._heap[0][0] if self.pooling else self._heap[0].time
 
     def pool_size(self) -> int:
         """Events currently parked in the free list."""
@@ -756,7 +470,7 @@ class Simulator:
         ``EVENT_POOL_CAP``, and the heap never holds *more* live events
         than :meth:`pending` reports.  Unlike :meth:`check_consistency`
         this audit is safe to run from inside an event callback: the
-        pooled drain loops batch their ``_live`` decrement until
+        pooled run loop batches its ``_live`` decrement until
         :meth:`run` returns, so mid-run the counter may exceed the heap
         count (never the reverse).  ``events_executed`` may likewise
         exceed ``events_scheduled`` — batching fast paths credit
@@ -788,12 +502,7 @@ class Simulator:
         :attr:`repro.perf.config.PerfConfig.heap_scan_inflight`) — never
         for per-packet logic.
         """
-        cal = self._cal
-        if cal is not None:
-            hits = [entry[2] for entry in cal.entries()
-                    if not entry[2].cancelled
-                    and entry[2].callback is callback]
-        elif self._triples:
+        if self.pooling:
             hits = [entry[2] for entry in self._heap
                     if not entry[2].cancelled
                     and entry[2].callback is callback]
@@ -805,18 +514,10 @@ class Simulator:
 
     def _alive_count(self) -> int:
         """Count live (non-cancelled) events actually present in the
-        heap / calendar.  O(heap size) — cold paths only."""
-        cal = self._cal
-        if cal is not None:
-            alive = sum(1 for entry in cal.entries()
-                        if not entry[2].cancelled)
-            alive += sum(1 for entry in self._heap
-                         if not entry[2].cancelled)
-        elif self._triples:
-            alive = sum(1 for entry in self._heap if not entry[2].cancelled)
-        else:
-            alive = sum(1 for event in self._heap if not event.cancelled)
-        return alive
+        heap.  O(heap size) — cold paths only."""
+        if self.pooling:
+            return sum(1 for entry in self._heap if not entry[2].cancelled)
+        return sum(1 for event in self._heap if not event.cancelled)
 
     def check_consistency(self) -> None:
         """Verify the heap and the live counter agree.
@@ -825,7 +526,7 @@ class Simulator:
         this is for rare control paths only — the snapshot layer calls it
         before pickling a post-mortem world to guarantee the saved state
         is resumable, even after an exception escaped a callback.  Only
-        exact *between* :meth:`run` calls: the pooled drains defer their
+        exact *between* :meth:`run` calls: the pooled loop defers its
         live-counter decrement, so mid-run use :meth:`audit_counters`.
         """
         alive = self._alive_count()
@@ -836,47 +537,12 @@ class Simulator:
 
     # -- internals -----------------------------------------------------------
 
-    def _engage_calendar(self) -> None:
-        """Swap the binary heap for a calendar queue, sizing the bucket
-        width from the median gap between the pending events' timestamps
-        (robust against a single far-future watchdog stretching the
-        span).  Moves every heap entry — dead ones included — so ordering
-        and lazy-cancellation behaviour are unchanged."""
-        self._cal_pending = False
-        self._cal_trigger = _CAL_OFF
-        heap = self._heap
-        if len(heap) >= 2:
-            times = sorted(entry[0] for entry in heap)
-            gaps = sorted(b - a for a, b in zip(times, times[1:]) if b > a)
-            width = gaps[len(gaps) // 2] if gaps else 1
-        else:
-            width = 1024
-        cal = CalendarQueue(width, CALENDAR_NBUCKETS, self.now)
-        push = cal.push
-        for entry in heap:
-            push(entry)
-        # Empty in place: a drain loop holding a reference to this list
-        # sees it empty, falls out, and the dispatcher continues on the
-        # calendar.
-        del heap[:]
-        self._cal = cal
-
     def _compact_head(self) -> None:
         """Pop dead (cancelled/consumed) events off the heap head."""
         pooling = self.pooling
-        cal = self._cal
-        if cal is not None:
-            while True:
-                entry = cal.head()
-                if entry is None or not entry[2].cancelled:
-                    return
-                cal.pop()
-                if pooling:
-                    self._release(entry[2])
         heap = self._heap
-        triples = self._triples
         while heap:
-            event = heap[0][2] if triples else heap[0]
+            event = heap[0][2] if pooling else heap[0]
             if not event.cancelled:
                 break
             heapq.heappop(heap)

@@ -2,7 +2,7 @@
 
 A snapshot is a single file::
 
-    {"magic": "repro-snapshot", "version": 2, "sha256": "...", ...}\\n
+    {"magic": "repro-snapshot", "version": 3, "sha256": "...", ...}\\n
     <pickle bytes>
 
 The first line is a JSON header carrying the format magic/version, the
@@ -36,8 +36,11 @@ PathLike = Union[str, Path]
 SNAPSHOT_MAGIC = "repro-snapshot"
 #: Bumped whenever a pickled class changes shape, so an older file is
 #: refused by its header instead of failing somewhere inside unpickle
-#: (2: the trace recorder's per-topic handlers and the bus's tuples).
-SNAPSHOT_VERSION = 2
+#: (2: the trace recorder's per-topic handlers and the bus's tuples;
+#: 3: the simulator keeps one event queue — a version-2 world saved on
+#: the second one keeps its pending events where nothing reads them and
+#: would restore to an empty heap and finish silently).
+SNAPSHOT_VERSION = 3
 
 _JSON_SCALARS = (str, int, float, bool, type(None))
 

@@ -143,23 +143,17 @@ def test_golden_trace_hash_reference_equals_fast(tmp_path):
     assert reference_hash == fast_hash
 
 
-def test_golden_trace_hash_across_scheduler_and_advance(
-        tmp_path, monkeypatch):
-    """The engine-level switches compose without a trace fingerprint:
-    (heap, calendar) x (per-packet, batched) all produce the identical
-    sha256.  A low ``REPRO_CALENDAR_WARMUP`` forces the calendar to
-    engage even on this small run."""
+def test_golden_trace_hash_across_scheduler_and_advance(tmp_path):
+    """The switch that restructures the event chain leaves no trace
+    fingerprint: per-packet and batched link advance, on the one event
+    scheduler there is, produce the identical sha256."""
     from repro.perf.config import PerfConfig, use_config
 
-    monkeypatch.setenv("REPRO_CALENDAR_WARMUP", "8")
     hashes = {}
-    for calendar in (False, True):
-        for batched in (False, True):
-            config = PerfConfig(calendar_queue=calendar,
-                                batched_link_advance=batched)
-            with use_config(config):
-                hashes[(calendar, batched)] = _traced_fig05_run(
-                    tmp_path, f"cal{calendar}-batch{batched}")
+    for batched in (False, True):
+        with use_config(PerfConfig(batched_link_advance=batched)):
+            hashes[batched] = _traced_fig05_run(tmp_path,
+                                                f"batch{batched}")
     assert len(set(hashes.values())) == 1, hashes
 
 

@@ -164,6 +164,34 @@ def test_self_clearing_timer_pattern_safe_without_versioning():
     assert state["fired"] == 1
 
 
+def test_raising_callback_keeps_pool_stats_identical():
+    """A raising callback must leave identical pool/counter state in the
+    tight pooled loop and the general loop (the general loop used to
+    leak the consumed event instead of recycling it)."""
+    def boom():
+        raise RuntimeError("boom")
+
+    stats = []
+    for force_general in (False, True):
+        sim = _pooled_sim()
+        done = []
+        for i in range(4):
+            sim.schedule(10 + i, done.append, i)
+        sim.schedule(20, boom)
+        sim.schedule(30, done.append, 99)
+        kwargs = {"max_events": 100} if force_general else {}
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run(until=1_000, **kwargs)
+        sim.check_consistency()          # resumable post-mortem state
+        stats.append((sim.now, sim.pool_size(), sim.pending(),
+                      sim.events_executed, sim.events_reused,
+                      tuple(done)))
+        # The run is resumable: the remaining event still fires.
+        sim.run()
+        assert done[-1] == 99
+    assert stats[0] == stats[1]
+
+
 # -- port in-flight safety under event recycling ------------------------------
 
 

@@ -90,22 +90,42 @@ def test_bad_magic_rejected(tmp_path):
         SnapshotManager().load(path)
 
 
+class _Tripwire:
+    """Counts how often a pickle holding it is actually unpickled."""
+
+    loads = 0
+
+    def __reduce__(self):
+        return (_trip, ())
+
+
+def _trip():
+    _Tripwire.loads += 1
+    return _Tripwire()
+
+
 def test_unknown_version_rejected(tmp_path):
     manager = SnapshotManager()
     path = tmp_path / "x.snap"
-    manager.save({"a": 1}, path, kind="unit")
-    header_line, _, rest = path.read_bytes().partition(b"\n")
+    manager.save(_Tripwire(), path, kind="unit")
+    good = path.read_bytes()
+    header_line, _, rest = good.partition(b"\n")
     header = json.loads(header_line)
-    assert header["version"] == SNAPSHOT_VERSION == 2
+    assert header["version"] == SNAPSHOT_VERSION == 3
     # 1 is what the builds before the recorder's pickled handlers
-    # changed shape wrote: refused by its header, whatever the payload
-    # would do to pickle.
-    for version in (99, 1):
+    # changed shape wrote; 2 those that could park every pending event
+    # in a calendar queue this build no longer reads.  Each is refused
+    # by its header, and the payload never reaches pickle.
+    for version in (99, 1, 2):
         header["version"] = version
         path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
         with pytest.raises(SnapshotError,
                            match=f"unsupported snapshot version {version} "):
             manager.load(path)
+    assert _Tripwire.loads == 0
+    path.write_bytes(good)
+    manager.load(path)
+    assert _Tripwire.loads == 1      # the tripwire does trip
 
 
 def test_kind_mismatch_rejected(tmp_path):
@@ -248,22 +268,27 @@ def test_restore_onto_shorter_trace_is_refused(tmp_path):
     assert trace_path.read_bytes() == kept  # left as found, no padding
 
 
-@pytest.mark.parametrize("base", ["fast", "reference"])
-def test_kill_restore_with_calendar_and_batched_advance(tmp_path, base,
-                                                        monkeypatch):
-    """Kill/restore stays byte-identical with the calendar queue engaged
-    and batched link advance active mid-flight — the two perf paths that
-    restructure the event loop itself, under both perf bases (REFERENCE
-    gets just these two switches forced on)."""
-    from repro.perf.config import FAST, REFERENCE, use_config
+def _wire_contents(world):
+    """What ``set_link_down`` would find on each wire: the pending
+    deliveries, looked up by callback identity."""
+    sim = world.net.sim
+    return [[(event.time, event.seq)
+             for event in sim.pending_events_for(port._deliver)]
+            for port in world.iter_ports()]
 
-    monkeypatch.setenv("REPRO_CALENDAR_WARMUP", "8")
+
+def test_kill_restore_reference_with_batched_advance(tmp_path):
+    """Kill/restore stays byte-identical on the bare-Event reference heap
+    with batched link advance armed — the perf path that restructures
+    the event chain itself, forced onto the REFERENCE base (FAST, where
+    it is on by default, is the test above)."""
+    from repro.perf.config import REFERENCE, use_config
+
     # Batching is only statically eligible on ports whose dequeue hook
     # was elided as a provable no-op, which is inline_hot_calls' job —
     # so the REFERENCE variant needs that switch too.
-    config = FAST if base == "fast" else REFERENCE.clone(
-        calendar_queue=True, batched_link_advance=True,
-        inline_hot_calls=True)
+    config = REFERENCE.clone(batched_link_advance=True,
+                             inline_hot_calls=True)
     every_ns = milliseconds(7)
 
     with use_config(config):
@@ -275,10 +300,8 @@ def test_kill_restore_with_calendar_and_batched_advance(tmp_path, base,
                 every_ns=every_ns, out=tmp_path / "a.snap"))
             result_a = world_a.finish(world_a)
             counters_a = _op_counters(world_a)
-            # The premise: the calendar really did engage, and the
-            # bottleneck ran with batched link advance armed (only
-            # plain-DRR ports qualify, so `any`, not `all`).
-            assert world_a.net.sim._cal is not None
+            # The premise: the bottleneck ran with batched link advance
+            # armed (only plain-DRR ports qualify, so `any`, not `all`).
             assert any(port._batch_ok for port in world_a.iter_ports())
 
         trace_b = tmp_path / "b.jsonl"
@@ -290,9 +313,14 @@ def test_kill_restore_with_calendar_and_batched_advance(tmp_path, base,
             world_b = _build_bulk(session.trace)
             with pytest.raises(SnapshotHalt):
                 run_world(world_b, policy_b)
-            assert world_b.net.sim._cal is not None  # engaged pre-kill
+            on_the_wire = _wire_contents(world_b)
 
         world_r = restore_world(snap_b, expect_kind="bulk")
+        # The other premise: the kill caught packets mid-flight, and the
+        # restored heap still holds every one of them under its port's
+        # own callback — what a link-down fault after the restore scans.
+        assert any(on_the_wire)
+        assert _wire_contents(world_r) == on_the_wire
         run_world(world_r, policy_b)
         result_r = world_r.finish(world_r)
         counters_r = _op_counters(world_r)

@@ -92,7 +92,7 @@ def test_scenario_json_roundtrip(tmp_path):
     {"duration_ms": 0},
     {"perf_base": "warp"},
     {"perf": {"flux_capacitor": True}},
-    {"perf": {"calendar_queue": "yes"}},
+    {"perf": {"batched_link_advance": "yes"}},
     {"torture": "rack"},
     {"torture": "kill-restore"},            # needs snapshot_every_ms
     {"snapshot_every_ms": 99.0},            # past the horizon
@@ -109,6 +109,14 @@ def test_scenario_validation_rejects(overrides):
 def test_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigurationError, match="unknown"):
         SoakScenario.from_dict({"scheme": "dynaq", "warp_speed": 9})
+
+
+def test_retired_perf_switch_is_refused_by_name():
+    """A triage bundle written before the calendar queue was deleted
+    fails loudly at load, not by silently running another config."""
+    with pytest.raises(ConfigurationError,
+                       match="unknown perf switch 'calendar_queue'"):
+        tiny(perf={"calendar_queue": True})
 
 
 def test_replace_revalidates():

@@ -1,39 +1,27 @@
 #!/usr/bin/env python
-"""Trace-identity gate for the engine-level perf switches.
+"""Trace-identity gate for the engine-level perf switch.
 
-Runs the fig. 5 fair-sharing workload with a full JSONL trace under all
-four (event scheduler x link advance) combinations —
-(heap, calendar) x (per-packet, batched) — and requires one sha256
-across the lot.  The calendar warmup is forced low so the calendar
-actually engages on this small run (it normally waits for event
-density); see docs/performance.md.
+Runs the fig. 5 fair-sharing workload with a full JSONL trace under both
+link-advance modes — per-packet and batched — and requires one sha256
+across the pair; see docs/performance.md.
 
-Exit code: 0 when all four hashes match, 1 on any divergence.  Used by
-the ``bench-smoke`` CI job.
+Exit code: 0 when both hashes match, 1 on divergence.  Used by the
+``bench-smoke`` CI job.
 """
 
 import argparse
 import hashlib
-import itertools
-import os
 import sys
 from pathlib import Path
 
-# Engage the calendar early on the smoke-sized run; must be set before
-# repro.sim.engine is imported (the default is read at import time).
-os.environ.setdefault("REPRO_CALENDAR_WARMUP", "64")
-
-from repro.experiments.testbed import run_fair_sharing  # noqa: E402
-from repro.perf.config import PerfConfig, use_config    # noqa: E402
-from repro.sim.trace import TraceBus                    # noqa: E402
-from repro.telemetry import JsonlSink, TraceRecorder    # noqa: E402
+from repro.experiments.testbed import run_fair_sharing
+from repro.perf.config import PerfConfig, use_config
+from repro.sim.trace import TraceBus
+from repro.telemetry import JsonlSink, TraceRecorder
 
 
-def traced_run(out: Path, *, calendar: bool, batched: bool,
-               time_unit_s: float) -> str:
-    config = PerfConfig(calendar_queue=calendar,
-                        batched_link_advance=batched)
-    with use_config(config):
+def traced_run(out: Path, *, batched: bool, time_unit_s: float) -> str:
+    with use_config(PerfConfig(batched_link_advance=batched)):
         trace = TraceBus()
         with TraceRecorder(trace, JsonlSink(out)):
             run_fair_sharing("dynaq", time_unit_s=time_unit_s,
@@ -44,26 +32,24 @@ def traced_run(out: Path, *, calendar: bool, batched: bool,
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workdir", default="trace-matrix",
-                        help="directory for the four trace files")
+                        help="directory for the trace files")
     parser.add_argument("--time-unit", type=float, default=0.05,
                         help="fig. 5 time unit in seconds")
     args = parser.parse_args(argv)
 
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    hashes = {}
-    for calendar, batched in itertools.product((False, True), repeat=2):
-        label = (f"{'calendar' if calendar else 'heap'}-"
-                 f"{'batched' if batched else 'perpacket'}")
-        out = workdir / f"fig05-{label}.jsonl"
-        digest = traced_run(out, calendar=calendar, batched=batched,
-                            time_unit_s=args.time_unit)
-        hashes[label] = digest
+    digests = set()
+    for batched in (False, True):
+        label = "batched" if batched else "perpacket"
+        digest = traced_run(workdir / f"fig05-{label}.jsonl",
+                            batched=batched, time_unit_s=args.time_unit)
+        digests.add(digest)
         print(f"{label:24s} {digest}")
-    if len(set(hashes.values())) != 1:
-        print("FAIL: trace hash divergence across engine switches")
+    if len(digests) != 1:
+        print("FAIL: trace hash divergence across link-advance modes")
         return 1
-    print("all four combinations sha256-identical")
+    print("both link-advance modes sha256-identical")
     return 0
 
 
