@@ -3,17 +3,10 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test bench bench-quick bench-abs bench-tests perf-tier figures chaos sweep-smoke snapshot-smoke diagnose-smoke serve-smoke competitive-smoke soak-smoke
+.PHONY: test bench-abs bench-tests figures chaos sweep-smoke snapshot-smoke diagnose-smoke serve-smoke competitive-smoke soak-smoke
 
 test:            ## tier-1 suite (must always be green)
 	$(PY) -m pytest -x -q
-
-bench:           ## full microbenchmark suite -> BENCH_<date>.json
-	$(PY) -m repro bench
-
-bench-quick:     ## CI smoke: quick suite vs the committed baseline
-	$(PY) -m repro bench --quick \
-	    --baseline benchmarks/perf/baseline.json --budget 0.25
 
 W ?= fct_observed
 bench-abs:       ## absolute benchmark, one workload: make bench-abs W=fct_star
@@ -22,11 +15,8 @@ bench-abs:       ## absolute benchmark, one workload: make bench-abs W=fct_star
 bench-tests:     ## the absolute benchmark's own tests (not tier-1, < 1 min)
 	$(PY) -m pytest bench/tests -q
 
-perf-tier:       ## opt-in perf regression tier (ops + speedup floors)
-	$(PY) -m pytest -q benchmarks/perf/
-
 figures:         ## regenerate the paper-figure benchmarks
-	$(PY) -m pytest -q benchmarks/ --ignore=benchmarks/perf
+	$(PY) -m pytest -q benchmarks/
 
 chaos:           ## fault-injection smoke (sum(T) == B under link flaps)
 	$(PY) -m repro chaos --faults examples/linkflap.json \
@@ -87,13 +77,11 @@ serve-smoke:     ## daemon under drill kills: jobs finish, SIGTERM drains clean
 	$(PY) tools/serve_smoke.py --workdir serve-smoke-artifacts
 	rm -rf serve-smoke-artifacts
 
-diagnose-smoke:  ## capture queue-diagnosis sketches, query them, gate the overhead
+diagnose-smoke:  ## capture queue-diagnosis sketches and query them
 	$(PY) -m repro fair-sharing --schemes dynaq --time-unit 0.03 \
 	    --diagnose-out /tmp/repro-diag.json
 	$(PY) -m repro diagnose /tmp/repro-diag.json
 	$(PY) -m repro diagnose /tmp/repro-diag.json \
 	    --port 's0->h0' --window 0:10000000
 	rm -f /tmp/repro-diag.json
-	$(PY) -m repro bench --quick \
-	    --baseline benchmarks/perf/baseline.json --budget 0.25
-	@echo "diagnose-smoke: sketch capture, query, and overhead gate all green"
+	@echo "diagnose-smoke: sketch capture and query green"

@@ -12,7 +12,6 @@ Examples::
     python -m repro trace-validate trace.jsonl
     python -m repro hw-cost
     python -m repro workloads
-    python -m repro bench --quick --baseline benchmarks/perf/baseline.json
     python -m repro soak --seed 1 --iterations 20 --jobs 4 --triage-dir triage
     python -m repro soak --replay scenarios/kill-restore-dynaq.json
     python -m repro serve --socket /tmp/repro.sock --snapshot-every 0.01
@@ -792,44 +791,6 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from .perf import baseline as baseline_mod
-    from .perf import bench
-
-    try:
-        report = bench.run_suite(
-            quick=args.quick, scale=args.scale, repeats=args.repeats,
-            progress=lambda name: print(f"bench: {name} ..."))
-    except bench.BenchError as exc:
-        print(f"BENCH FAILURE (semantics divergence): {exc}")
-        return 1
-    print()
-    print(bench.format_table(report))
-    out = args.out or bench.default_report_path()
-    bench.write_report(report, out)
-    print(f"\nwrote {out}")
-    if args.emit_baseline:
-        baseline = baseline_mod.make_baseline(report)
-        bench.write_report(baseline, args.emit_baseline)
-        print(f"wrote {args.emit_baseline}")
-    if args.baseline:
-        try:
-            baseline = baseline_mod.load_baseline(args.baseline)
-        except OSError as exc:
-            print(f"error: cannot read {args.baseline}: {exc.strerror}")
-            return 1
-        violations = baseline_mod.compare(report, baseline,
-                                          budget=args.budget)
-        if violations:
-            print(f"\nREGRESSION vs {args.baseline}:")
-            for violation in violations:
-                print(f"  {violation}")
-            return 1
-        print(f"\nno regressions vs {args.baseline} "
-              f"(budget {args.budget:.0%})")
-    return 0
-
-
 def _parse_ns_window(text: str) -> Tuple[Optional[int], Optional[int]]:
     start_text, sep, end_text = text.partition(":")
     if not sep:
@@ -1283,29 +1244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=12,
                    help="callback rows to show")
     p.set_defaults(func=_cmd_profile)
-
-    p = sub.add_parser(
-        "bench", help="run the hot-path microbenchmark suite "
-                      "(reference vs fast, see docs/performance.md)")
-    p.add_argument("--quick", action="store_true",
-                   help="~8x smaller workloads (CI smoke)")
-    p.add_argument("--scale", type=float, default=1.0,
-                   help="workload size multiplier")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="interleaved reference/fast pairs per bench; "
-                        "min wall time is reported (default 3)")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="report path (default BENCH_<date>.json)")
-    p.add_argument("--baseline", default=None, metavar="PATH",
-                   help="compare against this baseline; exit 1 on "
-                        "regression")
-    p.add_argument("--budget", type=float, default=0.25,
-                   help="allowed fractional speedup regression "
-                        "(default 0.25)")
-    p.add_argument("--emit-baseline", default=None, metavar="PATH",
-                   help="also write a floored baseline derived from "
-                        "this run")
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
         "diagnose", help="query a --diagnose-out dump: victim flows, "

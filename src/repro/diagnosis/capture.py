@@ -82,8 +82,8 @@ def capture_diagnosis(settings: Optional[SketchSettings] = None
     Nesting restores the previous capture on exit, so an inner capture
     (one chaos scheme, say) never swallows an outer session's ports.
     Note this only *collects*; turning the sketches on is the
-    ``queue_diagnosis`` perf switch, flipped separately so the bench can
-    measure sketch cost without any capture attached.
+    ``queue_diagnosis`` perf switch, flipped separately so sketch cost
+    can be measured without any capture attached.
     """
     global _active
     previous = _active

@@ -24,7 +24,8 @@ and rides inside world snapshots as plain picklable state.  It keeps:
 
 Everything is integer arithmetic over the deterministic event stream,
 so FAST and REFERENCE runs produce byte-identical sketch dumps — the
-``fig05_diagnosed`` bench and ``tests/test_diagnosis.py`` enforce it.
+``fig05_diagnosed`` op-counter golden and ``tests/test_diagnosis.py``
+enforce it.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ class PortDiagnosisSketch:
         self.snapshots: Deque[Dict[str, Any]] = deque(
             maxlen=settings.max_snapshots)
         #: Hook invocations (enqueue + dequeue + drop + evict) — part of
-        #: the bench op counters, so FAST and REFERENCE must agree.
+        #: the golden op counters, so FAST and REFERENCE must agree.
         self.updates = 0
         #: Monotonic snapshot count (unlike ``len(snapshots)``, never
         #: loses evictions).

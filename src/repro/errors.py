@@ -2,9 +2,8 @@
 
 A single root (:class:`ReproError`) lets callers catch everything raised
 by this library without masking unrelated bugs.  This module is the one
-authoritative home of the taxonomy; :mod:`repro.sim.errors` and
-``repro.perf.bench`` re-export the names they historically defined so
-existing imports keep working.
+authoritative home of the taxonomy; :mod:`repro.sim.errors` re-exports
+the names it historically defined so existing imports keep working.
 
 CLI exit codes
 --------------
@@ -15,8 +14,7 @@ code meaning
 ==== =====================================================================
 0    success — the run completed and every gate passed
 1    the run completed but a gate failed: chaos invariant violations or
-     watchdog aborts, sweep points that exhausted their retries, bench
-     op-counter drift or budget misses
+     watchdog aborts, sweep points that exhausted their retries
 2    the run itself failed or was interrupted: any :class:`ReproError`
      (bad configuration, simulation misuse, snapshot corruption) or
      Ctrl-C; partial results may have been printed
@@ -54,7 +52,7 @@ WORKER_DRILL_EXIT = 43
 EXIT_CODES = {
     EXIT_OK: "success, all gates passed",
     EXIT_FAILURE: "completed with failed gates (violations, failed "
-                  "points, bench drift)",
+                  "points)",
     EXIT_ERROR: "ReproError or interrupt; partial results at best",
     EXIT_DRILL: "snapshot kill-drill halt; autosave ready for --restore",
 }
@@ -94,14 +92,6 @@ class RoutingError(ReproError):
 
 class TransportError(ReproError):
     """A transport connection was driven through an invalid state change."""
-
-
-class BenchError(ReproError, RuntimeError):
-    """A bench's reference and fast runs disagreed on an op counter.
-
-    Also a :class:`RuntimeError` because it predates this module and old
-    call sites catch it as one.
-    """
 
 
 class SnapshotError(ReproError):
@@ -152,6 +142,6 @@ __all__ = [
     "WORKER_DRILL_EXIT", "EXIT_CODES",
     "ReproError", "SimulationError", "WatchdogTimeout",
     "ConfigurationError", "RoutingError", "TransportError",
-    "BenchError", "ServeError", "SnapshotError",
+    "ServeError", "SnapshotError",
     "SnapshotIntegrityError", "SnapshotHalt",
 ]

@@ -56,13 +56,6 @@ class Packet:
         self.enqueued_at = 0              # set by the port at enqueue time
         self.corrupted = False            # set by a corruption fault in flight
 
-    # Re-initialising a recycled packet must reset *every* slot so pooled
-    # objects never leak stale fields (ecn_ce, corrupted, ts_echo, ...);
-    # __init__ assigns all of them, so reset simply delegates.  Keeping
-    # the alias explicit lets PacketPool and the pooling tests state the
-    # invariant in one place (see repro.perf.pool).
-    reset = __init__
-
     @property
     def payload(self) -> int:
         """Payload bytes carried (0 for pure ACKs)."""

@@ -1,25 +1,11 @@
 """repro.perf — hot-path performance layer.
 
-Three pieces:
-
-* :mod:`repro.perf.config` — global feature switches selecting the fast
-  or the reference datapath (components read them at construction time);
-* :mod:`repro.perf.pool` — generation-counted object pooling for
-  packets (event pooling lives inside the simulator itself);
-* :mod:`repro.perf.bench` — the ``repro bench`` microbenchmark suite
-  with in-run reference-vs-fast speedup measurement and baseline
-  regression checks (:mod:`repro.perf.baseline`).
-
-This ``__init__`` re-exports only the config API: the bench harness
-imports experiment code, and pulling it in eagerly would create an
-import cycle with :mod:`repro.sim.engine` (which reads the perf config).
-Import :mod:`repro.perf.pool` / :mod:`repro.perf.bench` explicitly, or
-access them lazily through attribute lookup on this package.
+:mod:`repro.perf.config` holds the global feature switches selecting the
+fast or the reference datapath; components read them at construction
+time.  Event pooling lives inside :class:`repro.sim.engine.Simulator`.
 """
 
 from __future__ import annotations
-
-import importlib
 
 from .config import (
     FAST,
@@ -41,17 +27,4 @@ __all__ = [
     "reference_mode",
     "set_config",
     "use_config",
-    "pool",
-    "bench",
-    "baseline",
 ]
-
-_LAZY_SUBMODULES = ("pool", "bench", "baseline")
-
-
-def __getattr__(name: str):
-    if name in _LAZY_SUBMODULES:
-        module = importlib.import_module(f".{name}", __name__)
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,10 +3,10 @@
 The simulator has two semantically identical datapaths:
 
 * the **fast path** (default) — pooled :class:`~repro.sim.engine.Event`
-  and :class:`~repro.net.packet.Packet` objects, cached zero-subscriber
-  checks in front of every trace publish, an incremental victim-search
-  structure inside DynaQ, and batched per-port stat counters read on
-  sample boundaries instead of per-packet subscribers;
+  objects, cached zero-subscriber checks in front of every trace
+  publish, an incremental victim-search structure inside DynaQ, and
+  batched per-port stat counters read on sample boundaries instead of
+  per-packet subscribers;
 * the **reference path** — the straightforward implementations the fast
   paths were derived from: fresh allocations everywhere, a lazy
   ``TraceBus.emit`` per publish site, and a full ``T_i - S_i`` rescan on
@@ -14,8 +14,8 @@ The simulator has two semantically identical datapaths:
 
 Both paths must produce byte-identical results: the differential tests
 in ``tests/test_perf_equivalence.py`` run the same seeded scenario under
-both and compare JSONL trace hashes and operation counters, and
-``repro bench`` re-checks counter equivalence on every run.
+both and compare JSONL trace hashes and operation counters, the latter
+also against the golden counters in ``tests/data/op_counters.json``.
 
 Components read the active config **at construction time** (never per
 packet), so flipping modes affects objects built afterwards::
@@ -27,8 +27,8 @@ packet), so flipping modes affects objects built afterwards::
         net = build_star(...)      # eager publishes, rescanning DynaQ
 
 This module is import-light on purpose: it must be importable from
-``repro.sim.engine`` without dragging the benchmark harness (or any
-experiment code) into the core import graph.
+``repro.sim.engine`` without dragging any experiment code into the core
+import graph.
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ class PerfConfig:
     event_pooling:
         :class:`~repro.sim.engine.Simulator` recycles executed events
         through a free list (generation-counted; see the engine docs).
-    packet_pooling:
-        :class:`~repro.perf.pool.PacketPool` users recycle packets.  The
-        pool API itself always works; this switch tells harnesses (the
-        bench replay driver) whether to use it.
     lazy_trace:
         Ports cache per-topic subscriber flags against the bus version,
         so a zero-subscriber publish costs one int compare + dict lookup
@@ -91,7 +87,8 @@ class PerfConfig:
         snapshots) on the enqueue/dequeue path.  Off by default in
         *both* FAST and REFERENCE so the differential harness keeps
         comparing the unchanged datapaths; when enabled it must be
-        enabled on both sides (see the ``fig05_diagnosed`` bench).
+        enabled on both sides (see the ``fig05_diagnosed`` op-counter
+        workload).
     batched_link_advance:
         ``EgressPort`` commits a run of back-to-back transmissions on an
         uncontended, fault-free, untraced link in one pass — scheduling
@@ -102,14 +99,13 @@ class PerfConfig:
         equality versus the per-packet path still holds.
     """
 
-    __slots__ = ("event_pooling", "packet_pooling", "lazy_trace",
-                 "incremental_victim", "batched_stats",
+    __slots__ = ("event_pooling", "lazy_trace", "incremental_victim",
+                 "batched_stats",
                  "cached_decisions", "tx_time_cache", "lazy_round_time",
                  "inline_hot_calls", "heap_scan_inflight",
                  "queue_diagnosis", "batched_link_advance")
 
     def __init__(self, *, event_pooling: bool = True,
-                 packet_pooling: bool = True,
                  lazy_trace: bool = True,
                  incremental_victim: bool = True,
                  batched_stats: bool = True,
@@ -121,7 +117,6 @@ class PerfConfig:
                  queue_diagnosis: bool = False,
                  batched_link_advance: bool = True) -> None:
         self.event_pooling = event_pooling
-        self.packet_pooling = packet_pooling
         self.lazy_trace = lazy_trace
         self.incremental_victim = incremental_victim
         self.batched_stats = batched_stats
@@ -151,10 +146,9 @@ class PerfConfig:
 FAST = PerfConfig()
 
 #: Every optimisation disabled — the pre-optimisation reference
-#: semantics, used as the baseline side of differential tests and of
-#: ``repro bench``'s in-run speedup measurements.
-REFERENCE = PerfConfig(event_pooling=False, packet_pooling=False,
-                       lazy_trace=False, incremental_victim=False,
+#: semantics, used as the baseline side of differential tests.
+REFERENCE = PerfConfig(event_pooling=False, lazy_trace=False,
+                       incremental_victim=False,
                        batched_stats=False, cached_decisions=False,
                        tx_time_cache=False, lazy_round_time=False,
                        inline_hot_calls=False, heap_scan_inflight=False,

@@ -222,37 +222,6 @@ def test_incast_runs_tiny(capsys):
     assert "QCT" in out
 
 
-def test_bench_smoke_writes_report(capsys, tmp_path):
-    out_path = tmp_path / "bench.json"
-    code, out = run_cli(capsys, "bench", "--quick", "--scale", "0.1",
-                        "--repeats", "1", "--out", str(out_path))
-    assert code == 0
-    assert "fig05_traced" in out
-    assert "speedup" in out
-    import json
-    report = json.loads(out_path.read_text())
-    assert report["schema"] == "repro.bench/1"
-    assert len(report["benches"]) == 9
-    for bench in report["benches"]:
-        assert bench["ops_equal"]
-
-
-def test_bench_emit_baseline_and_compare(capsys, tmp_path):
-    out_path = tmp_path / "bench.json"
-    baseline_path = tmp_path / "baseline.json"
-    code, _ = run_cli(capsys, "bench", "--quick", "--scale", "0.1",
-                      "--repeats", "1", "--out", str(out_path),
-                      "--emit-baseline", str(baseline_path))
-    assert code == 0
-    assert baseline_path.exists()
-    # A second run compared against its own floored baseline passes.
-    code, out = run_cli(capsys, "bench", "--quick", "--scale", "0.1",
-                        "--repeats", "1", "--out", str(out_path),
-                        "--baseline", str(baseline_path),
-                        "--budget", "0.9")
-    assert code == 0
-
-
 def test_trace_topics_opt_in_captures_snapshot_lifecycle(capsys, tmp_path):
     trace = tmp_path / "lifecycle.jsonl"
     code, _ = run_cli(capsys, "fair-sharing", "--schemes", "dynaq",

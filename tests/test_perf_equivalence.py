@@ -11,13 +11,13 @@ Three layers of evidence that the perf layer (``repro.perf``) changes
    enqueue, dequeue, threshold steal at the same simulated nanosecond
    with the same payload;
 3. the throughput meter's batched-counter backend emits the same sample
-   series as the per-packet subscriber backend, and the bench suite's
-   operation counters agree across modes by construction
-   (``run_suite`` raises ``BenchError`` otherwise — exercised here on a
-   tiny scale).
+   series as the per-packet subscriber backend, and nine deterministic
+   engine and port workloads reproduce the operation counters committed
+   in ``tests/data/op_counters.json`` exactly, under both modes.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -28,10 +28,20 @@ from repro.core.victim import (
     linear_victim,
     tournament_victim,
 )
+from repro.experiments.runner import buffer_factory
 from repro.experiments.testbed import run_fair_sharing
 from repro.metrics.throughput import PortThroughputMeter
-from repro.perf.bench import run_suite
-from repro.perf.config import fast_mode, reference_mode
+from repro.net.packet import Packet
+from repro.net.port import EgressPort
+from repro.perf.config import (
+    FAST,
+    REFERENCE,
+    fast_mode,
+    reference_mode,
+    use_config,
+)
+from repro.queueing.schedulers.drr import DRRScheduler
+from repro.sim.engine import Simulator
 from repro.sim.trace import TraceBus
 from repro.telemetry import JsonlSink, TraceRecorder
 
@@ -147,7 +157,7 @@ def test_golden_trace_hash_across_scheduler_and_advance(tmp_path):
     """The switch that restructures the event chain leaves no trace
     fingerprint: per-packet and batched link advance, on the one event
     scheduler there is, produce the identical sha256."""
-    from repro.perf.config import PerfConfig, use_config
+    from repro.perf.config import PerfConfig
 
     hashes = {}
     for batched in (False, True):
@@ -157,29 +167,27 @@ def test_golden_trace_hash_across_scheduler_and_advance(tmp_path):
     assert len(set(hashes.values())) == 1, hashes
 
 
-# -- 3. meter backends and bench counters -------------------------------------
+# -- 3. meter backends and the op-counter golden ------------------------------
+
+#: Every arrival is one MTU; one every 7.5 us offers ~1.6x a 1 Gbps link.
+MTU = 1500
+ARRIVAL_NS = 7_500
+BURST = 16
+OP_COUNTERS = Path(__file__).parent / "data" / "op_counters.json"
+
+
+def _port(sim: Simulator, scheme: str, trace=None) -> EgressPort:
+    """The testbed's wire: 1 Gbps, 5 us, 85 KB, 4-queue DRR."""
+    return EgressPort(
+        sim, "bench->sink", rate_bps=10 ** 9, prop_delay_ns=5_000,
+        buffer_bytes=85_000, scheduler=DRRScheduler([float(MTU)] * 4),
+        buffer_manager=buffer_factory(scheme, rtt_ns=500_000)(),
+        trace=trace)
 
 
 def _metered_run(batched: bool):
-    from repro.perf.bench import _replay
-
-    # The meter compares its two backends inside one config, so pin the
-    # backend explicitly and reuse the bench replay machinery.
-    import repro.perf.bench as bench_mod
-    from repro.net.packet import Packet
-    from repro.net.port import EgressPort
-    from repro.queueing.schedulers.drr import DRRScheduler
-    from repro.sim.engine import Simulator
-    from repro.experiments.runner import buffer_factory
-
     sim = Simulator()
-    trace = TraceBus()
-    port = EgressPort(
-        sim, "m->sink", rate_bps=10 ** 9, prop_delay_ns=5000,
-        buffer_bytes=85_000,
-        scheduler=DRRScheduler([1500.0] * 4),
-        buffer_manager=buffer_factory("dynaq", rtt_ns=500_000)(),
-        trace=trace)
+    port = _port(sim, "dynaq", TraceBus())
 
     class Sink:
         def receive(self, packet):
@@ -198,11 +206,137 @@ def test_meter_backends_sample_identically():
     assert _metered_run(batched=True) == _metered_run(batched=False)
 
 
-def test_bench_suite_op_counters_agree_across_modes():
-    """A tiny full-suite run: ``run_suite`` itself asserts ref == fast
-    per bench (raising BenchError on drift), so completing is the test."""
-    report = run_suite(quick=True, scale=0.1, repeats=1)
-    assert len(report["benches"]) == 9
-    for bench in report["benches"]:
-        assert bench["ops_equal"]
-        assert bench["reference"]["ops"] == bench["fast"]["ops"]
+class _Sink:
+    """Counts receipts; ``receive_many`` opts into coalesced delivery."""
+
+    received = 0
+
+    def receive(self, packet) -> None:
+        self.received += 1
+
+    def receive_many(self, packets) -> None:
+        self.received += len(packets)
+
+
+class _Feeder:
+    """One ``send_many`` of up to :data:`BURST` fresh packets per tick;
+    the whole tick train plus one trailing no-op tick is scheduled up
+    front.  ``None`` in ``classes`` leaves an arrival slot empty."""
+
+    def __init__(self, sim: Simulator, port: EgressPort, classes) -> None:
+        self.port = port
+        self.sent = 0
+        bursts = [[Packet(i + j, "bench", "sink", MTU, service_class=c)
+                   for j, c in enumerate(classes[i:i + BURST])
+                   if c is not None]
+                  for i in range(0, len(classes), BURST)]
+        self._bursts = iter(bursts)
+        for tick in range(len(bursts) + 1):
+            sim.schedule(ARRIVAL_NS * BURST * (tick + 1), self.tick)
+
+    def tick(self) -> None:
+        burst = next(self._bursts, None)
+        if burst:
+            self.port.send_many(burst)
+            self.sent += len(burst)
+
+
+def _event_loop() -> dict:
+    """Four interleaved chains sharing one 50 000-tick countdown."""
+    sim = Simulator()
+    remaining = [50_000]
+
+    def tick() -> None:
+        remaining[0] -= 1
+        if remaining[0] > 0:
+            sim.schedule(10, tick)
+
+    for _ in range(4):
+        sim.schedule(10, tick)
+    sim.run()
+    return {"events": sim.events_executed}
+
+
+def _replay(scheme: str, classes, *, traced: bool = False) -> dict:
+    """Feed ``classes`` into one port; a traced run also meters it."""
+    sim = Simulator()
+    port = _port(sim, scheme, TraceBus() if traced else None)
+    sink = _Sink()
+    port.connect(sink)
+    total = len(classes)
+    meter = (PortThroughputMeter(sim, port, total * ARRIVAL_NS // 8)
+             if traced else None)
+    feeder = _Feeder(sim, port, classes)
+    sim.run(until=(total + 50) * ARRIVAL_NS)
+    ops = {"enqueued": port.enqueued_packets,
+           "dropped": port.dropped_packets,
+           "transmitted": port.transmitted_packets,
+           "tx_bytes": port.transmitted_bytes,
+           "received": sink.received,
+           "events": sim.events_executed}
+    manager = port.buffer_manager
+    if hasattr(manager, "threshold_moves"):
+        ops["steals"] = manager.threshold_moves
+        ops["protected_drops"] = manager.protected_drops
+    sketch = getattr(port, "_sketch", None)
+    if sketch is not None:
+        ops["sketch_updates"] = sketch.updates
+        ops["sketch_snapshots"] = sketch.snapshots_taken
+    ops["sent"] = feeder.sent
+    if meter is not None:
+        ops["meter_samples"] = len(meter.samples)
+        ops["meter_digest"] = hash(tuple(
+            (s.time_ns, s.per_queue_bps) for s in meter.samples))
+    return ops
+
+
+def _steal_storm(i: int) -> int:
+    """512-arrival phases alternate two hot queues; a trickle keeps the
+    other two active."""
+    phase, slot = divmod(i, 512)
+    return 2 + (slot // 8) % 2 if slot % 8 == 7 else phase % 2
+
+
+def _fig05(total: int):
+    """Queue k weighted 2^(k+1); queues stop in reverse order."""
+    cumulative, stops = (2, 6, 14, 30), (1.0, 0.85, 0.7, 0.55)
+    classes = []
+    for i in range(total):
+        slot = (i * 7919) % cumulative[-1]
+        queue = next(q for q in range(4) if slot < cumulative[q])
+        classes.append(queue if i < total * stops[queue] else None)
+    return classes
+
+
+def _workloads():
+    n, fig05 = 20_000, _fig05(24_000)
+    round_robin = [i % 4 for i in range(n)]
+    return {
+        "event_loop": _event_loop,
+        "enqueue_dequeue_dynaq": lambda: _replay("dynaq", round_robin),
+        "enqueue_dequeue_besteffort":
+            lambda: _replay("besteffort", round_robin),
+        "enqueue_dequeue_pql": lambda: _replay("pql", round_robin),
+        "dynaq_steal_storm":
+            lambda: _replay("dynaq", [_steal_storm(i) for i in range(n)]),
+        "incast_burst": lambda: _replay(
+            "dynaq", [i // 256 % 4 if i % 256 < 64 else None
+                      for i in range(n)]),
+        "fig05_traced": lambda: _replay("dynaq", fig05, traced=True),
+        "fig05_untraced": lambda: _replay("dynaq", fig05),
+        "fig05_diagnosed": lambda: _replay("dynaq", fig05, traced=True),
+    }
+
+
+def test_op_counters_match_golden_in_both_modes():
+    """FAST ops == REFERENCE ops == the committed golden, per workload.
+    Equality across modes alone misses a change to code both datapaths
+    share; the golden catches it."""
+    golden = json.loads(OP_COUNTERS.read_text())
+    workloads = _workloads()
+    assert sorted(workloads) == sorted(golden)
+    for name, run in workloads.items():
+        diagnosed = name == "fig05_diagnosed"
+        for mode, config in (("REFERENCE", REFERENCE), ("FAST", FAST)):
+            with use_config(config.clone(queue_diagnosis=diagnosed)):
+                assert run() == golden[name], f"{name} under {mode}"

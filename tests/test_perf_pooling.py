@@ -1,15 +1,13 @@
-"""Pooling correctness: recycled objects must be indistinguishable.
+"""Event pooling correctness: a recycled event must be indistinguishable.
 
-Two pools exist — the simulator's internal Event free list and the
-PacketPool — and both share one failure mode: a recycled object leaking
-state from its previous life.  These tests pin the defences in:
+The simulator recycles executed events through a free list, and its one
+failure mode is a recycled object leaking state from its previous life
+to a handle someone still holds.  These tests pin the defences in:
 
-* Packet.reset clears *every* slot, including the flags only faults set
-  (``corrupted``), only switches set (``ecn_ce``/``ece``), and only
-  receivers read (``ts_echo``);
-* Event generation counters let retained handles detect recycling, and
+* generation counters let retained handles detect recycling, and
   ``cancel_versioned`` no-ops on a stale generation instead of killing
   the innocent event now living in the object;
+* a raising callback leaves identical pool state in both run loops;
 * the port's in-flight tracking stays correct when delivery events are
   recycled underneath it.
 """
@@ -18,63 +16,7 @@ import pytest
 
 from repro.net.packet import Packet
 from repro.perf.config import PerfConfig, use_config
-from repro.perf.pool import DEFAULT_CAP, PacketPool
 from repro.sim.engine import Simulator
-
-
-# -- PacketPool: no stale fields ----------------------------------------------
-
-
-def test_recycled_packet_never_leaks_stale_fields():
-    pool = PacketPool()
-    dirty = pool.acquire(7, "a", "b", 1500, seq=10, end_seq=1470,
-                         service_class=3, ecn_capable=True, is_ack=False,
-                         created_at=99)
-    # Scribble over every mutable post-construction field a packet can
-    # pick up in flight.
-    dirty.ecn_ce = True
-    dirty.ece = True
-    dirty.corrupted = True
-    dirty.retransmitted = True
-    dirty.ts_echo = 12345
-    dirty.priority = 9
-    dirty.enqueued_at = 777
-    assert pool.release(dirty)
-
-    recycled = pool.acquire(8, "c", "d", 40, is_ack=True, ack_seq=1470)
-    assert recycled is dirty  # same object, new life
-    fresh = Packet(8, "c", "d", 40, is_ack=True, ack_seq=1470)
-    for slot in Packet.__slots__:
-        assert getattr(recycled, slot) == getattr(fresh, slot), slot
-
-
-def test_pool_reuse_counters_and_cap():
-    pool = PacketPool(cap=2)
-    packets = [Packet(i, "s", "d", 100) for i in range(3)]
-    assert pool.release(packets[0])
-    assert pool.release(packets[1])
-    assert not pool.release(packets[2])  # over cap
-    assert pool.rejected == 1
-    assert pool.size() == 2
-    first = pool.acquire(9, "s", "d", 100)
-    assert first is packets[1]  # LIFO
-    assert pool.reused == 1
-    assert pool.acquired == 1
-
-
-def test_pool_double_release_guard():
-    pool = PacketPool()
-    packet = Packet(1, "s", "d", 100)
-    assert pool.release(packet)
-    assert not pool.release(packet)  # same object twice in a row
-    assert pool.rejected == 1
-    assert pool.size() == 1
-
-
-def test_default_cap_sane():
-    assert PacketPool().cap == DEFAULT_CAP
-    with pytest.raises(ValueError):
-        PacketPool(cap=0)
 
 
 # -- Event pool: generations and versioned cancel -----------------------------

@@ -112,11 +112,13 @@ def test_from_dict_rejects_unknown_keys():
 
 
 def test_retired_perf_switch_is_refused_by_name():
-    """A triage bundle written before the calendar queue was deleted
-    fails loudly at load, not by silently running another config."""
-    with pytest.raises(ConfigurationError,
-                       match="unknown perf switch 'calendar_queue'"):
-        tiny(perf={"calendar_queue": True})
+    """A triage bundle written before the calendar queue or the packet
+    pool was deleted fails loudly at load, not by silently running
+    another config."""
+    for switch in ("calendar_queue", "packet_pooling"):
+        with pytest.raises(ConfigurationError,
+                           match=f"unknown perf switch '{switch}'"):
+            tiny(perf={switch: True})
 
 
 def test_replace_revalidates():

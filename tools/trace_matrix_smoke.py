@@ -6,7 +6,7 @@ link-advance modes — per-packet and batched — and requires one sha256
 across the pair; see docs/performance.md.
 
 Exit code: 0 when both hashes match, 1 on divergence.  Used by the
-``bench-smoke`` CI job.
+``trace-matrix`` CI job.
 """
 
 import argparse
