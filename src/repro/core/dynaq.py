@@ -348,3 +348,6 @@ class DynaQBuffer(BufferManager):
     def extra_buffer(self, index: int) -> int:
         """Eq. 2 for one queue."""
         return self.thresholds[index] - self.satisfaction[index]
+
+
+DynaQBuffer.contract_owner = DynaQBuffer

@@ -78,3 +78,8 @@ class DynaQEvictBuffer(DynaQBuffer):
                 best = index
                 best_overage = overage
         return best
+
+
+# Both contracts still hold: under-threshold accepts and repeat-pure drops
+# come back from super() untouched; eviction only follows "buffer full".
+DynaQEvictBuffer.contract_owner = DynaQEvictBuffer

@@ -152,10 +152,10 @@ class EgressPort:
         # ceil division collapses to a dict hit.  None = compute fresh.
         self._tx_cache: Optional[Dict[int, int]] = (
             {} if active_config().tx_time_cache else None)
-        # Construction-time call elision (fast path): skip buffer-manager
-        # hooks that are provably the base-class no-ops, inline the
-        # default classifier, and let a DRR scheduler read the queue
-        # deques directly instead of through per-packet protocol calls.
+        # Construction-time call elision (fast path): skip manager and
+        # scheduler hooks that are provably the base-class no-ops, inline
+        # the default classifier, and bind the queue deques to the
+        # scheduler so it reads them without per-packet protocol calls.
         inline = active_config().inline_hot_calls
         manager_cls = type(buffer_manager)
         self._on_enqueued = (
@@ -164,18 +164,23 @@ class EgressPort:
         self._on_dequeue = (
             None if inline and manager_cls.on_dequeue
             is BufferManager.on_dequeue else buffer_manager.on_dequeue)
+        self._sched_on_enqueue = (
+            None if inline and type(scheduler).on_enqueue
+            is Scheduler.on_enqueue else scheduler.on_enqueue)
         self._inline_classify = inline and classifier is None
         # Inline-admission fast path: when the manager publishes the
         # contract list (see BufferManager.inline_admit_thresholds),
         # send()/send_many() accept under-threshold packets without the
-        # admit() call.  The manager reference is pinned here; the list
-        # itself is re-read per packet/burst because managers may
-        # replace it wholesale (DynaQ reinitialize).
-        self._fast_admit = buffer_manager if inline else None
+        # admit() call, only ever the contract owner's (an overriding
+        # subclass keeps every call).  The manager is pinned here; the
+        # list is re-read per packet/burst because managers may replace
+        # it wholesale (DynaQ reinitialize).
+        owner = manager_cls.contract_owner
+        self._fast_admit = (
+            buffer_manager if inline and owner is not None
+            and manager_cls.admit is owner.admit else None)
         if inline:
-            bind_queues = getattr(scheduler, "bind_queues", None)
-            if bind_queues is not None:
-                bind_queues(self._queues)
+            scheduler.bind_queues(self._queues)
         # Per-packet in-flight tracking vs heap scan on (rare) link-down:
         # see set_link_down.
         self._scan_inflight = active_config().heap_scan_inflight
@@ -379,7 +384,9 @@ class EgressPort:
                 drr[0][queue_index] = 0.0
                 drr[1].append(queue_index)
         else:
-            self.scheduler.on_enqueue(queue_index)
+            sched_on_enqueue = self._sched_on_enqueue
+            if sched_on_enqueue is not None:
+                sched_on_enqueue(queue_index)
         on_enqueued = self._on_enqueued
         if on_enqueued is not None:
             on_enqueued(packet, queue_index)
@@ -418,6 +425,7 @@ class EgressPort:
         queues = self._queues
         queue_bytes = self._queue_bytes
         drr = self._drr
+        sched_on_enqueue = self._sched_on_enqueue
         on_enqueued = self._on_enqueued
         # Inline-admission contract: the list identity can only change
         # through external reconfiguration, never from inside this loop
@@ -429,9 +437,9 @@ class EgressPort:
         buffer_bytes = self.buffer_bytes
         # Drop memo (the repeat-pure contract; see BufferManager): within
         # this burst, a (queue, size) that just drop-pure-failed fails
-        # identically until an accept or unwind mutates port or manager
-        # state — so drop storms pay one admit() per queue, not one per
-        # packet.
+        # identically until an accept, an impure admit() outcome or an
+        # unwind mutates port or manager state — so drop storms pay one
+        # admit() per queue, not one per packet.
         pure_drops = (fadmit.pure_drop_decisions
                       if fadmit is not None else ())
         memo_sizes = self._drop_memo_sizes if pure_drops else None
@@ -473,11 +481,17 @@ class EgressPort:
                     fadmit.repeat_drop(decision)
                 else:
                     decision = admit(packet, queue_index)
-                    if (memo_sizes is not None
-                            and decision in pure_drops):
-                        memo_sizes[queue_index] = size
-                        memo_decs[queue_index] = decision
-                        memo_live = True
+                    if memo_sizes is not None:
+                        if decision in pure_drops:
+                            memo_sizes[queue_index] = size
+                            memo_decs[queue_index] = decision
+                            memo_live = True
+                        elif memo_live:
+                            # An accept, or a drop that may follow a
+                            # threshold steal ("port buffer full"),
+                            # mutated state the memoised drops depend on.
+                            memo_sizes[:] = memo_zeros
+                            memo_live = False
                 if not decision.accept:
                     self.dropped_packets += 1
                     if sketch is not None:
@@ -492,11 +506,6 @@ class EgressPort:
                     if not quiet:
                         self._publish(TOPIC_PACKET_MARK, packet,
                                       queue_index, "enqueue")
-                if memo_live:
-                    # This accept (and any steal inside it) mutated
-                    # state memoised drops depend on.
-                    memo_sizes[:] = memo_zeros
-                    memo_live = False
             elif memo_live:
                 # Inline-admit accept: mutates occupancy too.
                 memo_sizes[:] = memo_zeros
@@ -511,8 +520,8 @@ class EgressPort:
                     drr[2][queue_index] = True
                     drr[0][queue_index] = 0.0
                     drr[1].append(queue_index)
-            else:
-                self.scheduler.on_enqueue(queue_index)
+            elif sched_on_enqueue is not None:
+                sched_on_enqueue(queue_index)
             if on_enqueued is not None:
                 on_enqueued(packet, queue_index)
             if sketch is not None:

@@ -24,10 +24,18 @@ class ForwardingTable:
     def __init__(self, switch_name: str) -> None:
         self.switch_name = switch_name
         self._routes: Dict[str, List] = {}
+        #: destination -> port for the groups of exactly one port, which
+        #: need no hash: the switch forwards those without a lookup().
+        self.single_routes: Dict[str, object] = {}
 
     def add_route(self, destination: str, port) -> None:
         """Append ``port`` to the ECMP group for ``destination``."""
-        self._routes.setdefault(destination, []).append(port)
+        ports = self._routes.setdefault(destination, [])
+        ports.append(port)
+        if len(ports) == 1:
+            self.single_routes[destination] = port
+        else:
+            self.single_routes.pop(destination, None)
 
     def lookup(self, packet: Packet):
         """Pick the egress port for ``packet`` (ECMP by flow hash)."""

@@ -24,6 +24,7 @@ class Switch:
         self.name = name
         self.ports: Dict[str, EgressPort] = {}
         self.table = ForwardingTable(name)
+        self._single_routes = self.table.single_routes
         self.received_packets = 0
 
     def add_port(self, port: EgressPort) -> EgressPort:
@@ -40,7 +41,11 @@ class Switch:
     def receive(self, packet: Packet) -> None:
         """Forward an arriving packet to the proper egress port."""
         self.received_packets += 1
-        self.table.lookup(packet).send(packet)
+        port = self._single_routes.get(packet.dst)
+        if port is None:
+            # ECMP group (hashed) or unknown destination (RoutingError).
+            port = self.table.lookup(packet)
+        port.send(packet)
 
     def port_list(self) -> List[EgressPort]:
         """All egress ports, in insertion order."""

@@ -84,6 +84,13 @@ class BufferManager:
 
     name = "base"
 
+    #: The class whose ``admit`` declared the two fast-path contracts
+    #: below.  EgressPort honours them only while ``type(manager).admit``
+    #: is that class's current ``admit`` (a class-level wrapper included),
+    #: so a subclass overriding ``admit`` (one that marks, say) is never
+    #: bypassed unless it declares itself owner, both contracts checked.
+    contract_owner: Optional[type] = None
+
     def __init__(self) -> None:
         self.port: Optional[PortView] = None
         self.drops = 0
@@ -99,18 +106,22 @@ class BufferManager:
         # packets.  Any other case still goes through admit().  Managers
         # whose accept path counts, marks, or otherwise mutates state
         # must leave this None; managers replacing their threshold list
-        # wholesale must re-point this attribute at the new list.
+        # wholesale must re-point this attribute at the new list.  Like
+        # the drop-side contract below, it binds only the admit of
+        # :attr:`contract_owner`.
         self.inline_admit_thresholds = None
         # Companion contract for the drop side: decisions listed here are
         # *repeat-pure* — ``admit()`` returning one of them read manager
         # and port state but mutated nothing except drop counters, so an
-        # identical call (same queue, same size) with no intervening
-        # accept is guaranteed the same outcome.  EgressPort.send_many
-        # uses this to memoise drop storms within one burst, re-applying
-        # the counters through :meth:`repeat_drop` instead of re-deriving
-        # the decision.  Only list shared singletons (identity is the
-        # memo key), and never a decision whose path can mutate state
-        # (threshold steals, evictions).
+        # identical call (same queue, same size) with only repeat-pure
+        # drops in between is guaranteed the same outcome; any other
+        # outcome in between, a drop included, may have stolen threshold
+        # or evicted packets.  EgressPort.send_many uses this to memoise
+        # drop storms within one burst, re-applying the counters through
+        # :meth:`repeat_drop` instead of re-deriving the decision.  Only
+        # list shared singletons (identity is the memo key), and never a
+        # decision whose path can mutate state (threshold steals,
+        # evictions).
         self.pure_drop_decisions = ()
         # Fast path: pre-built singletons for the recurring outcomes.
         # None in reference mode, in which case every site allocates a

@@ -10,7 +10,7 @@ others below their weighted BDP.
 from __future__ import annotations
 
 from ..net.packet import Packet
-from .base import BufferManager, Decision
+from .base import BufferManager, Decision, PortView
 
 
 class BestEffortBuffer(BufferManager):
@@ -18,8 +18,17 @@ class BestEffortBuffer(BufferManager):
 
     name = "BestEffort"
 
+    def attach(self, port: PortView) -> None:
+        super().attach(port)
+        # Any packet the port buffer has room for is an unmarked,
+        # side-effect-free accept: every per-queue limit keeps the contract.
+        self.inline_admit_thresholds = [port.buffer_bytes] * port.num_queues
+
     def admit(self, packet: Packet, queue_index: int) -> Decision:
         drop = self._port_tail_drop(packet)
         if drop is not None:
             return drop
         return self._accept or Decision.accepted()
+
+
+BestEffortBuffer.contract_owner = BestEffortBuffer

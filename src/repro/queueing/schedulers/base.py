@@ -7,6 +7,10 @@ implements (head-of-line packet size, emptiness) and return a queue index.
 
 All schedulers here are **work-conserving**: if any queue holds a packet,
 ``select`` returns an index; ``None`` means every queue is empty.
+
+A port may also hand a scheduler its queue deques once, through
+:meth:`Scheduler.bind_queues`, and a bound scheduler may read them and
+ignore the view; ``select(view)`` must stay correct unbound.
 """
 
 from __future__ import annotations
@@ -39,6 +43,23 @@ class Scheduler:
             raise ConfigurationError(
                 f"need at least one queue, got {num_queues}")
         self.num_queues = num_queues
+        # The port's queue deques once bind_queues ran; None = unbound,
+        # read queue state through the view select() is given.
+        self._fast_queues = None
+
+    def bind_queues(self, queues) -> None:
+        """Give the scheduler direct access to the port's queue deques.
+
+        Optional fast-path wiring (the port calls it under
+        ``inline_hot_calls``): the port shares the very list of deques
+        backing its :class:`QueueView` answers, so emptiness and head
+        size checks become subscripting instead of method calls.
+        """
+        if len(queues) != self.num_queues:
+            raise ConfigurationError(
+                f"bind_queues: expected {self.num_queues} queues, "
+                f"got {len(queues)}")
+        self._fast_queues = queues
 
     def on_enqueue(self, index: int) -> None:
         """Notification that a packet was enqueued into queue ``index``."""

@@ -43,29 +43,12 @@ class DRRScheduler(Scheduler):
         # calls enable_round_tracking().  Reference mode tracks always,
         # as the pre-optimisation scheduler did.
         self._track_rounds = not active_config().lazy_round_time
-        # Fast path: direct references to the port's queue deques (set by
-        # the port via bind_queues when inline_hot_calls is on), replacing
-        # the two QueueView method calls per select() iteration.
-        self._fast_queues = None
 
     # -- wiring ---------------------------------------------------------------
 
     def bind_clock(self, clock) -> None:
         """Give the scheduler access to simulated time (for T_round)."""
         self._clock = clock
-
-    def bind_queues(self, queues) -> None:
-        """Give the scheduler direct access to the port's queue deques.
-
-        Optional fast-path wiring: the port shares the very list of
-        deques backing its :class:`QueueView` answers, so emptiness and
-        head size checks become subscripting instead of method calls.
-        """
-        if len(queues) != self.num_queues:
-            raise ValueError(
-                f"bind_queues: expected {self.num_queues} queues, "
-                f"got {len(queues)}")
-        self._fast_queues = queues
 
     def enable_round_tracking(self) -> None:
         """Turn the round-time EWMA on (MQ-ECN calls this on attach)."""

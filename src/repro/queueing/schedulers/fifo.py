@@ -19,6 +19,9 @@ class FIFOScheduler(Scheduler):
         super().__init__(num_queues=1)
 
     def select(self, queues: QueueView) -> Optional[int]:
+        fast = self._fast_queues
+        if fast is not None:
+            return 0 if fast[0] else None
         if queues.queue_empty(0):
             return None
         return 0

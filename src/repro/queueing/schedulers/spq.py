@@ -39,6 +39,12 @@ class SPQScheduler(Scheduler):
         self._weights = self._check_weight_count(validate_weights(weights))
 
     def select(self, queues: QueueView) -> Optional[int]:
+        fast = self._fast_queues
+        if fast is not None:
+            for index, queue in enumerate(fast):
+                if queue:
+                    return index
+            return None
         for index in range(self.num_queues):
             if not queues.queue_empty(index):
                 return index
@@ -85,6 +91,12 @@ class SPQDRRScheduler(Scheduler):
         """Forward the simulation clock to the embedded DRR scheduler."""
         self.drr.bind_clock(clock)
 
+    def bind_queues(self, queues) -> None:
+        """Bind the strict queues here and the rest (the very same deque
+        objects) to the embedded DRR, which then needs no offset view."""
+        super().bind_queues(queues)
+        self.drr.bind_queues(queues[self.num_high:])
+
     @property
     def weights(self) -> List[float]:
         # The SPQ queue has no fair-share weight; buffer managers treat it
@@ -103,6 +115,14 @@ class SPQDRRScheduler(Scheduler):
             self.drr.on_enqueue(index - self.num_high)
 
     def select(self, queues: QueueView) -> Optional[int]:
+        fast = self._fast_queues
+        if fast is not None:
+            num_high = self.num_high
+            for index in range(num_high):
+                if fast[index]:
+                    return index
+            low = self.drr.select(None)
+            return None if low is None else low + num_high
         for index in range(self.num_high):
             if not queues.queue_empty(index):
                 return index

@@ -2,7 +2,7 @@
 
 A snapshot is a single file::
 
-    {"magic": "repro-snapshot", "version": 3, "sha256": "...", ...}\\n
+    {"magic": "repro-snapshot", "version": 4, "sha256": "...", ...}\\n
     <pickle bytes>
 
 The first line is a JSON header carrying the format magic/version, the
@@ -39,8 +39,10 @@ SNAPSHOT_MAGIC = "repro-snapshot"
 #: (2: the trace recorder's per-topic handlers and the bus's tuples;
 #: 3: the simulator keeps one event queue — a version-2 world saved on
 #: the second one keeps its pending events where nothing reads them and
-#: would restore to an empty heap and finish silently).
-SNAPSHOT_VERSION = 3
+#: would restore to an empty heap and finish silently; 4: ports keep the
+#: scheduler's enqueue hook, schedulers their bound queues and forwarding
+#: tables their single-port routes, none of which a version-3 world has).
+SNAPSHOT_VERSION = 4
 
 _JSON_SCALARS = (str, int, float, bool, type(None))
 

@@ -12,7 +12,7 @@ weight reconfiguration, or a snapshot/restore of the running world.
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dynaq import DynaQBuffer
@@ -246,6 +246,36 @@ def test_send_many_burst_equals_individual_sends():
         results.append(counters)
     assert results[0] == results[1]
     assert results[0]["dropped"] > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(bursts=st.lists(
+    st.lists(st.tuples(st.integers(0, 3), st.sampled_from([300, 1500])),
+             min_size=1, max_size=24),
+    min_size=1, max_size=6))
+@example(bursts=[[(0, 300), (1, 300), (1, 1500), (3, 300), (0, 300),
+                  (0, 300), (0, 300), (0, 300), (1, 1500), (1, 300),
+                  (0, 1500), (1, 300)]])
+def test_send_many_matches_individual_sends_on_random_bursts(bursts):
+    """Random drop storms: a memoised repeat-pure drop must not outlive a
+    "port buffer full" drop whose admit() stole threshold first."""
+    results = []
+    for use_burst in (False, True):
+        sim, port, sink = _world(batched=True, buffer_bytes=6_000)
+        for b, burst in enumerate(bursts):
+            packets = [make_packet(size, flow_id=b * 100 + i,
+                                   service_class=queue)
+                       for i, (queue, size) in enumerate(burst)]
+            if use_burst:
+                sim.at(b * 40_000, port.send_many, packets)
+            else:
+                for packet in packets:
+                    sim.at(b * 40_000, port.send, packet)
+        sim.run()
+        counters = _counters(sim, port, sink)
+        del counters["events"]
+        results.append(counters)
+    assert results[0] == results[1]
 
 
 def test_snapshot_restore_mid_batch_resumes_identically():

@@ -1,6 +1,6 @@
 """Differential tests: fast path == reference path, bit for bit.
 
-Three layers of evidence that the perf layer (``repro.perf``) changes
+Four layers of evidence that the perf layer (``repro.perf``) changes
 *speed* and nothing else:
 
 1. the three victim-search implementations (linear argmax, hardware
@@ -13,13 +13,18 @@ Three layers of evidence that the perf layer (``repro.perf``) changes
 3. the throughput meter's batched-counter backend emits the same sample
    series as the per-packet subscriber backend, and nine deterministic
    engine and port workloads reproduce the operation counters committed
-   in ``tests/data/op_counters.json`` exactly, under both modes.
+   in ``tests/data/op_counters.json`` exactly, under both modes;
+4. two small FCT cells — a Fig. 8 star (SPQ/DRR switch ports, FIFO +
+   BestEffort NICs) and a leaf-spine fabric with ECMP uplinks —
+   reproduce the per-port counters, event count and FCT digest committed
+   in ``tests/data/fct_cells.json``, under both modes.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +34,8 @@ from repro.core.victim import (
     tournament_victim,
 )
 from repro.experiments.runner import buffer_factory
-from repro.experiments.testbed import run_fair_sharing
+from repro.experiments.simulation import LeafSpineConfig, run_leafspine_fct
+from repro.experiments.testbed import run_fair_sharing, run_fct_experiment
 from repro.metrics.throughput import PortThroughputMeter
 from repro.net.packet import Packet
 from repro.net.port import EgressPort
@@ -44,6 +50,7 @@ from repro.queueing.schedulers.drr import DRRScheduler
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceBus
 from repro.telemetry import JsonlSink, TraceRecorder
+from repro.workloads.datasets import CACHE, WEB_SEARCH
 
 # -- 1. victim-search equivalence under point updates -------------------------
 
@@ -340,3 +347,65 @@ def test_op_counters_match_golden_in_both_modes():
         for mode, config in (("REFERENCE", REFERENCE), ("FAST", FAST)):
             with use_config(config.clone(queue_diagnosis=diagnosed)):
                 assert run() == golden[name], f"{name} under {mode}"
+
+
+# -- 4. the FCT datapath golden -----------------------------------------------
+
+FCT_CELLS = Path(__file__).parent / "data" / "fct_cells.json"
+
+
+@pytest.fixture
+def built_ports(monkeypatch):
+    """Every EgressPort constructed while the test runs, in build order
+    (REFERENCE ports register nothing on the trace bus to find them by)."""
+    ports = []
+    init = EgressPort.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        ports.append(self)
+
+    monkeypatch.setattr(EgressPort, "__init__", recording_init)
+    return ports
+
+
+def _fct_cells(ports) -> dict:
+    """Run both cells; per port ``[enqueued, dropped, transmitted,
+    threshold moves]``, the event count and a digest of the FCTs."""
+    cells = {
+        "fig08_star": lambda: run_fct_experiment(
+            "dynaq", load=0.6, num_flows=40, seed=1,
+            distribution=WEB_SEARCH.truncated(1_000_000)),
+        "leafspine_ecmp": lambda: run_leafspine_fct(
+            "dynaq", load=0.5, num_flows=30, num_service_queues=3,
+            config=LeafSpineConfig(num_leaves=2, num_spines=2,
+                                   hosts_per_leaf=2, buffer_bytes=12_000),
+            distributions=[WEB_SEARCH.truncated(300_000),
+                           CACHE.truncated(300_000)], seed=1),
+    }
+    out = {}
+    for name, run in cells.items():
+        ports.clear()
+        result = run()
+        fcts = sorted((r.flow_id, r.fct_ns)
+                      for r in result.collector.records)
+        out[name] = {
+            "events_executed": ports[0].sim.events_executed,
+            "ports": {port.name: [
+                port.enqueued_packets, port.dropped_packets,
+                port.transmitted_packets,
+                getattr(port.buffer_manager, "threshold_moves", 0)]
+                for port in ports},
+            "fct_sha256": hashlib.sha256(
+                json.dumps(fcts).encode()).hexdigest(),
+        }
+    return out
+
+
+def test_fct_cells_match_golden_in_both_modes(built_ports):
+    """No other golden crosses SPQ/DRR switch ports, FIFO NICs or ECMP
+    forwarding; this one pins them absolutely, in both modes."""
+    golden = json.loads(FCT_CELLS.read_text())
+    for mode, config in (("REFERENCE", REFERENCE), ("FAST", FAST)):
+        with use_config(config):
+            assert _fct_cells(built_ports) == golden, mode

@@ -179,6 +179,77 @@ def test_ecn_mark_only_on_capable_packets():
     assert marked == {0: True, 1: False}
 
 
+@pytest.mark.parametrize("base", [DynaQBuffer, BestEffortBuffer])
+@pytest.mark.parametrize("burst", [False, True])
+def test_overriding_admit_opts_out_of_inline_admission(base, burst):
+    """A subclass whose admit marks every accept inherits its parent's
+    inline-admission contract, but the port must not skip the override:
+    FAST marks exactly what REFERENCE marks, per packet and per burst."""
+    from repro.perf.config import FAST, REFERENCE, use_config
+    from repro.queueing.base import Decision
+
+    class MarkAll(base):
+        def admit(self, packet, queue_index):
+            decision = super().admit(packet, queue_index)
+            return Decision.accepted(mark=True) if decision.accept \
+                else decision
+
+    marks = {}
+    for mode, config in (("REFERENCE", REFERENCE), ("FAST", FAST)):
+        with use_config(config):
+            sim = Simulator()
+            port, sink = make_port(sim, manager=MarkAll())
+            packets = [make_packet(1500, flow_id=i, service_class=i % 4,
+                                   ecn=True) for i in range(8)]
+            if burst:
+                port.send_many(packets)
+            else:
+                for packet in packets:
+                    port.send(packet)
+            sim.run()
+            marks[mode] = sum(p.ecn_ce for _, p in sink.packets)
+    assert marks == {"REFERENCE": 8, "FAST": 8}
+
+
+def test_declaring_managers_keep_inline_admission():
+    """The managers that declare the contracts (DynaQ, the evicting
+    subclass that re-declares them, BestEffort) stay on the fast path."""
+    from repro.core.eviction import DynaQEvictBuffer
+    from repro.perf.config import FAST, use_config
+
+    with use_config(FAST):
+        for manager in (DynaQBuffer(), DynaQEvictBuffer(),
+                        BestEffortBuffer()):
+            port, _ = make_port(Simulator(), manager=manager)
+            assert port._fast_admit is manager, type(manager).__name__
+
+
+def test_class_level_admit_wrapper_keeps_inline_admission(monkeypatch):
+    """A wrapper installed on the declaring class itself (a profiler's
+    span, a timing probe) is still the owner's admit, so a traced run
+    keeps the untraced fast path; an overriding subclass still opts out."""
+    from repro.core.eviction import DynaQEvictBuffer
+    from repro.perf.config import FAST, use_config
+
+    original = DynaQBuffer.admit
+
+    def wrapped(manager, packet, queue_index):
+        return original(manager, packet, queue_index)
+
+    monkeypatch.setattr(DynaQBuffer, "admit", wrapped)
+
+    class Override(DynaQBuffer):
+        def admit(self, packet, queue_index):
+            return super().admit(packet, queue_index)
+
+    with use_config(FAST):
+        for manager in (DynaQBuffer(), DynaQEvictBuffer()):
+            port, _ = make_port(Simulator(), manager=manager)
+            assert port._fast_admit is manager, type(manager).__name__
+        port, _ = make_port(Simulator(), manager=Override())
+        assert port._fast_admit is None
+
+
 def test_tcn_dequeue_drop_wastes_transmission_slot():
     """The drop variant idles the wire for the dropped packet's slot."""
     sim = Simulator()

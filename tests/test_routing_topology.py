@@ -57,6 +57,34 @@ def test_ecmp_spreads_flows():
     assert len(chosen) == 4  # all paths used
 
 
+def test_second_port_hands_destination_to_ecmp():
+    """A one-port group forwards without a lookup; adding a second port
+    to it moves the destination to the hashed ECMP path, and an unknown
+    destination still raises RoutingError."""
+    from repro.net.switch import Switch
+    from repro.sim.engine import Simulator
+
+    switch = Switch(Simulator(), "s0")
+    first, second = FakePortRec("p0"), FakePortRec("p1")
+    switch.table.add_route("b", first)
+    assert switch.table.single_routes == {"b": first}
+    packets = [make_packet(flow_id=i) for i in range(40)]
+    for packet in packets:
+        switch.receive(packet)
+    assert first.sent == packets
+    switch.table.add_route("b", second)
+    assert switch.table.single_routes == {}
+    first.sent.clear()
+    for packet in packets:
+        switch.receive(packet)
+        assert switch.table.lookup(packet).sent[-1] is packet
+    assert first.sent and second.sent
+    stray = make_packet()
+    stray.dst = "nowhere"
+    with pytest.raises(RoutingError):
+        switch.receive(stray)
+
+
 def test_destinations_listing():
     table = ForwardingTable("s0")
     table.add_route("h2", FakePortRec("x"))

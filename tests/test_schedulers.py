@@ -1,5 +1,7 @@
 """Unit tests for the packet schedulers."""
 
+from collections import deque
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from repro.queueing.schedulers.drr import DRRScheduler
 from repro.queueing.schedulers.fifo import FIFOScheduler
 from repro.queueing.schedulers.spq import SPQDRRScheduler, SPQScheduler
 from repro.queueing.schedulers.wrr import WRRScheduler
+from repro.sim.errors import ConfigurationError
 
 from conftest import ListQueueView
 
@@ -275,3 +278,88 @@ def test_schedulers_are_work_conserving(contents):
             assert view.queues[index], "selected an empty queue"
             view.pop(index)
         assert scheduler.select(view) is None
+
+
+# -- bound queues (the port's fast-path wiring) -----------------------------
+
+class _Head:
+    """A queued packet as a bound scheduler sees it: only its size."""
+
+    __slots__ = ("size",)
+
+    def __init__(self, size):
+        self.size = size
+
+
+class _DequeView:
+    """The QueueView a port answers from the very deques it binds."""
+
+    def __init__(self, queues):
+        self.queues = queues
+
+    def queue_empty(self, index):
+        return not self.queues[index]
+
+    def head_size(self, index):
+        return self.queues[index][0].size
+
+
+BOUND_VS_UNBOUND = {
+    "fifo": FIFOScheduler,
+    "spq": lambda: SPQScheduler(4),
+    "drr": lambda: DRRScheduler([1500.0, 3000.0, 4500.0, 6000.0]),
+    "spqdrr": lambda: SPQDRRScheduler(1, [1500.0, 3000.0, 4500.0]),
+    "spqdrr_two_high": lambda: SPQDRRScheduler(2, [1500.0, 4500.0]),
+}
+
+
+def _drr_state(scheduler):
+    drr = getattr(scheduler, "drr", scheduler)
+    if not isinstance(drr, DRRScheduler):
+        return None
+    return list(drr._deficits), list(drr._active), list(drr._in_active)
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_VS_UNBOUND))
+@given(st.lists(st.one_of(st.none(),
+                          st.tuples(st.integers(0, 3),
+                                    st.integers(64, 9000))),
+                max_size=80))
+def test_bound_select_matches_unbound(name, steps):
+    """A bound scheduler, given no view at all, picks the same queue as
+    an unbound twin asking the view at every step, and ends with the same
+    deficits and active order.  ``None`` steps select and pop; tuples
+    enqueue; the queues are drained at the end."""
+    bound = BOUND_VS_UNBOUND[name]()
+    unbound = BOUND_VS_UNBOUND[name]()
+    queues = [deque() for _ in range(bound.num_queues)]
+    bound.bind_queues(queues)
+    view = _DequeView(queues)
+
+    def select_both():
+        index = bound.select(None)
+        assert index == unbound.select(view)
+        if index is not None:
+            queues[index].popleft()
+        return index
+
+    for step in steps:
+        if step is None:
+            select_both()
+        else:
+            queue = step[0] % bound.num_queues
+            queues[queue].append(_Head(step[1]))
+            bound.on_enqueue(queue)
+            unbound.on_enqueue(queue)
+        assert _drr_state(bound) == _drr_state(unbound)
+    while select_both() is not None:
+        pass
+    assert not any(queues)
+    assert _drr_state(bound) == _drr_state(unbound)
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_VS_UNBOUND))
+def test_bind_queues_length_checked(name):
+    scheduler = BOUND_VS_UNBOUND[name]()
+    with pytest.raises(ConfigurationError, match="bind_queues"):
+        scheduler.bind_queues([deque()] * (scheduler.num_queues + 1))

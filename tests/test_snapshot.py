@@ -111,12 +111,13 @@ def test_unknown_version_rejected(tmp_path):
     good = path.read_bytes()
     header_line, _, rest = good.partition(b"\n")
     header = json.loads(header_line)
-    assert header["version"] == SNAPSHOT_VERSION == 3
+    assert header["version"] == SNAPSHOT_VERSION == 4
     # 1 is what the builds before the recorder's pickled handlers
     # changed shape wrote; 2 those that could park every pending event
-    # in a calendar queue this build no longer reads.  Each is refused
-    # by its header, and the payload never reaches pickle.
-    for version in (99, 1, 2):
+    # in a calendar queue this build no longer reads; 3 those whose
+    # ports, schedulers and forwarding tables lack the fast-path wiring.
+    # Each is refused by its header, and the payload never reaches pickle.
+    for version in (99, 1, 2, 3):
         header["version"] = version
         path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
         with pytest.raises(SnapshotError,

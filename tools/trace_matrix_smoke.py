@@ -1,11 +1,15 @@
 #!/usr/bin/env python
-"""Trace-identity gate for the engine-level perf switch.
+"""Trace-identity gate for the datapath perf switches.
 
-Runs the fig. 5 fair-sharing workload with a full JSONL trace under both
-link-advance modes — per-packet and batched — and requires one sha256
-across the pair; see docs/performance.md.
+Two pairs, each of which must share one sha256 across its full JSONL
+traces (see docs/performance.md):
 
-Exit code: 0 when both hashes match, 1 on divergence.  Used by the
+* the fig. 5 fair-sharing workload (plain DRR + DynaQ) under both
+  link-advance modes, per-packet and batched;
+* a small Fig. 8 FCT cell (SPQ/DRR switch ports behind PIAS, FIFO +
+  BestEffort NICs) under the FAST and REFERENCE configurations.
+
+Exit code: 0 when both pairs match, 1 on any divergence.  Used by the
 ``trace-matrix`` CI job.
 """
 
@@ -14,19 +18,28 @@ import hashlib
 import sys
 from pathlib import Path
 
-from repro.experiments.testbed import run_fair_sharing
-from repro.perf.config import PerfConfig, use_config
+from repro.experiments.testbed import run_fair_sharing, run_fct_experiment
+from repro.perf.config import FAST, REFERENCE, PerfConfig, use_config
 from repro.sim.trace import TraceBus
 from repro.telemetry import JsonlSink, TraceRecorder
+from repro.workloads.datasets import WEB_SEARCH
 
 
-def traced_run(out: Path, *, batched: bool, time_unit_s: float) -> str:
-    with use_config(PerfConfig(batched_link_advance=batched)):
+def traced_run(out: Path, config: PerfConfig, run) -> str:
+    with use_config(config):
         trace = TraceBus()
         with TraceRecorder(trace, JsonlSink(out)):
-            run_fair_sharing("dynaq", time_unit_s=time_unit_s,
-                             sample_interval_s=0.01, trace=trace)
+            run(trace)
     return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def check_pair(workdir: Path, name: str, run, configs) -> bool:
+    digests = set()
+    for label, config in configs:
+        digest = traced_run(workdir / f"{name}-{label}.jsonl", config, run)
+        digests.add(digest)
+        print(f"{name + ' ' + label:24s} {digest}")
+    return len(digests) == 1
 
 
 def main(argv=None) -> int:
@@ -39,17 +52,26 @@ def main(argv=None) -> int:
 
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    digests = set()
-    for batched in (False, True):
-        label = "batched" if batched else "perpacket"
-        digest = traced_run(workdir / f"fig05-{label}.jsonl",
-                            batched=batched, time_unit_s=args.time_unit)
-        digests.add(digest)
-        print(f"{label:24s} {digest}")
-    if len(digests) != 1:
-        print("FAIL: trace hash divergence across link-advance modes")
+    fig05_same = check_pair(
+        workdir, "fig05",
+        lambda trace: run_fair_sharing(
+            "dynaq", time_unit_s=args.time_unit, sample_interval_s=0.01,
+            trace=trace),
+        [("perpacket", PerfConfig(batched_link_advance=False)),
+         ("batched", PerfConfig(batched_link_advance=True))])
+    fig08_same = check_pair(
+        workdir, "fig08",
+        lambda trace: run_fct_experiment(
+            "dynaq", load=0.6, num_flows=40, seed=1,
+            distribution=WEB_SEARCH.truncated(1_000_000), trace=trace),
+        [("reference", REFERENCE), ("fast", FAST)])
+    if not fig05_same:
+        print("FAIL: fig05 trace hash divergence across link-advance modes")
+    if not fig08_same:
+        print("FAIL: fig08 trace hash divergence between FAST and REFERENCE")
+    if not (fig05_same and fig08_same):
         return 1
-    print("both link-advance modes sha256-identical")
+    print("both pairs sha256-identical")
     return 0
 
 
