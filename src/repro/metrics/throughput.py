@@ -74,12 +74,6 @@ class PortThroughputMeter:
 
     def _sample(self) -> None:
         if self.batched:
-            # A port running with batched link advance may have committed
-            # transmissions ahead of the clock; rewind it to the
-            # per-packet boundary so the counters read below contain
-            # exactly the dequeues that started strictly before now —
-            # the same set both backends see on the per-packet path.
-            self.port.sync_batched_advance()
             tx = self.port.queue_tx_bytes
             last = self._last_tx
             self._bytes_this_interval = [

@@ -51,14 +51,6 @@ _PORT_TOPICS = (TOPIC_PACKET_DROP, TOPIC_PACKET_ENQUEUE,
 #: functions of (size, rate), so clearing never changes an answer).
 _TX_CACHE_CAP = 512
 
-#: Batched link advance: initial / maximum run length.  The cap adapts —
-#: doubling on a fully committed batch, shrinking to the committed length
-#: on a mispredicted unwind — so steady drains grow long batches while
-#: the arrival predictor (not the cap) bounds batches on arrival-heavy
-#: phases.
-_BATCH_CAP_START = 16
-_BATCH_CAP_MAX = 64
-
 
 class EgressPort:
     """One output port of a host NIC or switch."""
@@ -102,17 +94,6 @@ class EgressPort:
         # handle is only trustworthy while its generation matches (see
         # repro.sim.engine's module docstring).
         self._in_flight: Deque[Tuple[Event, int]] = deque()
-        # Batched link advance state (eligibility is computed further
-        # down, once the hooks it depends on are known; the slot itself
-        # must exist before any unwind-checking method can run).  The
-        # arrival tracker predicts the next arrival burst from the gap
-        # between the last two distinct arrival timestamps; batches stop
-        # extending before the predicted time, which turns almost every
-        # unwind into the cheap everything-already-committed case.
-        self._batch = None
-        self._batch_cap = _BATCH_CAP_START
-        self._last_arrival_ns = 0
-        self._arrival_period = 0
 
         # Counters for experiments and assertions.
         self.enqueued_packets = 0
@@ -194,28 +175,9 @@ class EgressPort:
             from ..diagnosis.sketch import PortDiagnosisSketch
             self._sketch = PortDiagnosisSketch(name)
         self._deliver = None  # cached peer.receive, set by connect()
-        # Receivers that implement receive_many(packets) declare their
-        # state is insensitive to intra-batch delivery timing; batched
-        # link advance then coalesces a batch's deliveries into ONE
-        # event at the last packet's delivery time (see _deliver_batch).
-        # The bound method is cached so the link-down heap scan can
-        # match pending batch deliveries by callback identity, exactly
-        # like _deliver.
-        self._deliver_many = None
-        self._deliver_batch_cb = self._deliver_batch
-        # Per-build scratch (at most one batch is live at a time): the
-        # replay-anchor containers and the queue-index list are reused
-        # across builds.  packets/departs are NOT reusable — pending
-        # delivery events keep referencing them after the next build
-        # starts.
-        self._scratch_state = ([], deque(), [])
-        self._scratch_qidx = []
-        # Geometric lookahead for the arrival-prediction bound while the
-        # source is silent (see _extend_batch).
-        self._extrap_streak = 1
         # Burst-local drop memo (send_many): per-queue last repeat-pure
         # dropped size + decision.  Valid only within one send_many call
-        # and only between accepts/unwinds; _memo_zeros resets it.
+        # and only between accepts; _memo_zeros resets it.
         self._drop_memo_sizes = [0] * self.num_queues
         self._drop_memo_decs: List[Optional[object]] = (
             [None] * self.num_queues)
@@ -225,26 +187,11 @@ class EgressPort:
         # packet) and hands the scheduler _transmit_next directly.
         self._tx_complete = (self._transmit_next if inline
                              else self._on_transmit_complete)
-        # Batched link advance (see docs/performance.md): commit a run of
-        # back-to-back transmissions in one pass, schedule one completion
-        # event instead of N transmit-completes, and unwind to the
-        # per-packet boundary when anything lands mid-batch.  Statically
-        # eligible only when every per-packet dequeue side effect is
-        # provably absent: plain DRR (whose selection we can snapshot and
-        # replay), no dequeue hook, no diagnosis sketch.  Tracing,
-        # corruption, and round tracking are re-checked per batch attempt
-        # because they can change mid-run.
-        self._lazy_pub = active_config().lazy_trace
-        self._batch_ok = (active_config().batched_link_advance
-                          and type(scheduler) is DRRScheduler
-                          and self._on_dequeue is None
-                          and self._sketch is None)
-        # Inline-DRR fast path (construction-time type pin, like
-        # _batch_ok): send() and _transmit_next() replicate
-        # on_enqueue/select against the scheduler's own state
-        # containers, skipping a Python call per packet.  The container
-        # identities are stable for the port's lifetime — replay and
-        # reconfiguration mutate them in place.
+        # Inline-DRR fast path (construction-time type pin): send() and
+        # _transmit_next() replicate on_enqueue/select against the
+        # scheduler's own state containers, skipping a Python call per
+        # packet.  The container identities are stable for the port's
+        # lifetime — reconfiguration mutates them in place.
         self._drr = ((scheduler._deficits, scheduler._active,
                       scheduler._in_active)
                      if inline and type(scheduler) is DRRScheduler
@@ -268,10 +215,6 @@ class EgressPort:
         # per-packet attribute chain + bound-method allocation, and gives
         # the heap-scan fault path a unique identity to match on.
         self._deliver = peer.receive
-        # Opt-in coalesced delivery (see _deliver_batch): a receiver
-        # exposing receive_many(packets) accepts a whole batch in one
-        # call at the last packet's delivery time.
-        self._deliver_many = getattr(peer, "receive_many", None)
 
     def _default_classifier(self, packet: Packet) -> int:
         return min(packet.service_class, self.num_queues - 1)
@@ -284,8 +227,6 @@ class EgressPort:
         it also turns off the inlined default-classifier fast path so
         the new function is actually consulted.
         """
-        if self._batch is not None:
-            self._unwind_batch()
         self._classifier = classifier or self._default_classifier
         self._inline_classify = (classifier is None
                                  and active_config().inline_hot_calls)
@@ -316,19 +257,6 @@ class EgressPort:
 
     def send(self, packet: Packet) -> None:
         """Offer ``packet`` to this port (classification + admission)."""
-        now = self.sim.now
-        batch = self._batch
-        if batch is not None and batch[3][-2] >= now:
-            # An arrival lands mid-batch with transmissions not yet
-            # started (starts[-1] = departs[-2]): fall back to the
-            # per-packet boundary *before* classification/admission so
-            # occupancy, scheduler state, and counters are
-            # per-packet-exact for every decision below.  A fully
-            # committed batch is already exact and stays untouched.
-            self._unwind_batch()
-        if now != self._last_arrival_ns:
-            self._arrival_period = now - self._last_arrival_ns
-            self._last_arrival_ns = now
         if self.peer is None:
             raise ConfigurationError(f"port {self.name} is not connected")
         if self._inline_classify:
@@ -370,7 +298,7 @@ class EgressPort:
                 if not quiet:
                     self._publish(TOPIC_PACKET_MARK, packet, queue_index,
                                   "enqueue")
-        packet.enqueued_at = now
+        packet.enqueued_at = self.sim.now
         self._queues[queue_index].append(packet)
         self._queue_bytes[queue_index] += size
         self._total_bytes += size
@@ -406,14 +334,11 @@ class EgressPort:
         loop-invariant state is hoisted — the clock (no events can run
         while the loop spins), classification mode, trace quiescence and
         the admission entry point; anything a per-packet side effect can
-        change (link state, batch liveness, port busyness) is re-checked
-        per packet exactly as :meth:`send` would.  Keep the loop body in
-        lockstep with send().
+        change (link state, port busyness) is re-checked per packet
+        exactly as :meth:`send` would.  Keep the loop body in lockstep
+        with send().
         """
         now = self.sim.now
-        if now != self._last_arrival_ns:
-            self._arrival_period = now - self._last_arrival_ns
-            self._last_arrival_ns = now
         if self.peer is None:
             raise ConfigurationError(f"port {self.name} is not connected")
         inline_classify = self._inline_classify
@@ -437,9 +362,9 @@ class EgressPort:
         buffer_bytes = self.buffer_bytes
         # Drop memo (the repeat-pure contract; see BufferManager): within
         # this burst, a (queue, size) that just drop-pure-failed fails
-        # identically until an accept, an impure admit() outcome or an
-        # unwind mutates port or manager state — so drop storms pay one
-        # admit() per queue, not one per packet.
+        # identically until an accept or an impure admit() outcome
+        # mutates port or manager state — so drop storms pay one admit()
+        # per queue, not one per packet.
         pure_drops = (fadmit.pure_drop_decisions
                       if fadmit is not None else ())
         memo_sizes = self._drop_memo_sizes if pure_drops else None
@@ -451,12 +376,6 @@ class EgressPort:
             # trusted once this burst stores its first memo.
             memo_sizes[:] = memo_zeros
         for packet in packets:
-            batch = self._batch
-            if batch is not None and batch[3][-2] >= now:
-                self._unwind_batch()
-                if memo_live:
-                    memo_sizes[:] = memo_zeros
-                    memo_live = False
             if inline_classify:
                 service_class = packet.service_class
                 queue_index = (service_class if service_class < last
@@ -626,22 +545,8 @@ class EgressPort:
                 and self._corrupt_rng.random() < self.corrupt_rate):
             packet.corrupted = True
             self.corrupted_packets += 1
-        # Batch eligibility is decided per attempt: tracing of dequeues,
-        # corruption, and round tracking can all change mid-run.  The
-        # unwind anchor is taken inside _extend_batch (after this first,
-        # already-performed select), and only once a second packet is
-        # known to join.
-        if (self._batch_ok and sim._running
-                and self.corrupt_rate == 0.0
-                and not scheduler._track_rounds
-                and (self._quiet or self.trace is None
-                     or (self._lazy_pub and not
-                         self._topic_live.get(TOPIC_PACKET_DEQUEUE)))
-                and self._extend_batch(packet, queue_index, tx_ns)):
-            return
         if sim.pooling:
-            # Fused inline of the two schedule() calls (the same pattern
-            # as the batch finalize in _extend_batch), sharing one round
+            # Fused inline of the two schedule() calls, sharing one round
             # of free-list/seq bookkeeping.  Completion first: its seq
             # must stay below the delivery's so a zero-prop-delay tie
             # keeps completion-before-delivery order.
@@ -689,509 +594,6 @@ class EgressPort:
     def _on_transmit_complete(self) -> None:
         self._transmit_next()
 
-    # -- batched link advance ------------------------------------------------------
-
-    def _extend_batch(self, first: Packet, first_q: int,
-                      tx_first: int) -> bool:
-        """Try to grow the just-committed transmission of ``first`` into a
-        batch by driving the *real* scheduler forward.
-
-        Each extension step calls ``scheduler.select()`` — so deficit
-        grants, rotations, and retirements evolve exactly as the
-        per-packet path would evolve them — and eagerly commits the
-        chosen packet: pops it, applies the transmit counters, and
-        records its departure time.  One batch-completion event replaces
-        the per-packet transmit-completes; the suppressed events are
-        credited back on completion so ``events_executed`` matches the
-        per-packet path.  The scheduler snapshot anchoring
-        :meth:`_replay_prefix` is taken *after* ``first``'s select (which
-        the caller already performed) and only once a second packet is
-        known to join, so failed builds cost no allocations.
-
-        Two rules keep the common case cheap:
-
-        * every stop decision that *can* be made before ``select()`` is
-          made before it (empty active list, empty head queue, predicted
-          arrival, cap) — once select runs, its packet is committed, so
-          a finished build never holds scheduler mutations beyond its
-          last committed packet and an all-committed unwind needs no
-          replay;
-        * extension stops once the next transmission would *start* at or
-          after ``_last_arrival_ns + _arrival_period``, the predicted
-          next arrival burst.  The bound is start-based: a packet whose
-          transmission starts before the arrival is on the wire when the
-          burst lands on the per-packet path too, and the arrival-time
-          keep-alive check (all starts < now) keeps such a batch
-          committed.  On periodic workloads (every bench feeder) the
-          prediction is exact and batches tile the inter-arrival window,
-          tail slot included.  The bound is advisory only — an early
-          arrival still lands mid-batch — since the unwind path keeps
-          mispredictions correct.
-
-        Returns ``False`` — with all state per-packet-correct — when no
-        second packet can join (then the caller schedules the normal
-        per-packet events for ``first``).
-        """
-        scheduler = self.scheduler
-        active = scheduler._active
-        if not active:
-            return False
-        queues = self._queues
-        sim = self.sim
-        now = sim.now
-        horizon = sim._run_until
-        end = now + tx_first
-        if horizon is not None and end > horizon:
-            # The clock will stop before this transmission completes;
-            # stay per-packet so no state is committed past the horizon.
-            return False
-        period = self._arrival_period
-        if period > 0:
-            bound = self._last_arrival_ns + period
-            if bound <= now:
-                # The predicted arrival never came (the source paused or
-                # finished); extrapolate along the period grid so the
-                # bound stays ahead of the clock.  The lookahead doubles
-                # on each consecutive arrival-less build — a draining
-                # port grows its batches geometrically instead of
-                # re-building every period — and an actual arrival
-                # resets it.  Advisory only: if the source resumes
-                # mid-batch, the arrival-time unwind restores
-                # per-packet-exact state.
-                streak = self._extrap_streak
-                bound += ((now - bound) // period + streak) * period
-                if streak < 64:
-                    self._extrap_streak = streak + streak
-            else:
-                self._extrap_streak = 1
-            if horizon is not None and horizon < bound:
-                bound = horizon
-        else:
-            bound = horizon
-        if bound is not None and end >= bound:
-            # The second packet would start at or after the predicted
-            # arrival.  The bound is start-based, not departure-based: a
-            # packet whose transmission *starts* before the arrival is
-            # exactly what the per-packet path would have on the wire
-            # when the burst lands, and the arrival-time keep-alive check
-            # (starts[-1] = departs[-2] < now) keeps such a batch
-            # committed — so the window-tail packet joins its batch
-            # instead of falling back to per-packet events.
-            return False
-        ni = active[0]
-        nq = queues[ni]
-        if not nq:
-            # The head queue emptied (``first`` itself usually drained
-            # it).  Probe — mutation-free — for any non-empty active
-            # queue: with none, there is no second packet and the build
-            # fails without touching scheduler state.
-            for qi in active:
-                if queues[qi]:
-                    break
-            else:
-                return False
-        # A second packet will join: snapshot the post-first-select
-        # scheduler state into the reusable scratch containers as the
-        # replay anchor.  Taken *before* the leading retirement walk
-        # below — those retirements belong to the second select, and
-        # :meth:`_replay_prefix` re-runs real ``select()`` calls, which
-        # repeat them.
-        deficits_l = scheduler._deficits
-        in_active_l = scheduler._in_active
-        sched_state = self._scratch_state
-        a_def, a_act, a_ia = sched_state
-        a_def[:] = deficits_l
-        a_act.clear()
-        a_act.extend(active)
-        a_ia[:] = in_active_l
-        if not nq:
-            # Leading retirements, exactly as the next select would
-            # perform them; the probe above guarantees a non-empty
-            # active queue stops the walk before ``active`` drains.
-            while True:
-                active.popleft()
-                in_active_l[ni] = False
-                deficits_l[ni] = 0.0
-                ni = active[0]
-                nq = queues[ni]
-                if nq:
-                    break
-        cache = self._tx_cache
-        rate = self.link_rate_bps
-        head = nq[0].size
-        if cache is not None:
-            tx_head = cache.get(head)
-            if tx_head is None:
-                tx_head = transmission_time(head, rate)
-                if len(cache) >= _TX_CACHE_CAP:
-                    cache.clear()
-                cache[head] = tx_head
-        else:
-            tx_head = transmission_time(head, rate)
-        quanta = scheduler.quanta
-        queue_bytes = self._queue_bytes
-        qtx = self.queue_tx_bytes
-        cap = self._batch_cap
-        packets = [first]
-        qidx = self._scratch_qidx
-        qidx.clear()
-        qidx.append(first_q)
-        departs = [end]
-        add_pkt = packets.append
-        add_q = qidx.append
-        add_dep = departs.append
-        t = end
-        count = 1
-        batch_bytes = 0
-        while True:
-            # Inline replica of DRRScheduler.select — _batch_ok pins the
-            # scheduler type and the caller re-checks round tracking per
-            # attempt: retire empty heads, grant-and-rotate until the
-            # head deficit covers the head packet.  Mutates exactly the
-            # state select() would, saving a Python call per commit.
-            while True:
-                qi = active[0]
-                queue = queues[qi]
-                if queue:
-                    d = deficits_l[qi]
-                    size = queue[0].size
-                    if d >= size:
-                        deficits_l[qi] = d - size
-                        break
-                    deficits_l[qi] = d + quanta[qi]
-                    active.rotate(-1)
-                else:
-                    # Retire.  Some other active queue is non-empty (the
-                    # pre-checked head is, and nothing pops it while the
-                    # replica walks), so active never drains here.
-                    active.popleft()
-                    in_active_l[qi] = False
-                    deficits_l[qi] = 0.0
-            pkt = queue[0]
-            if size == head:
-                tx_ns = tx_head
-            elif cache is not None:
-                tx_ns = cache.get(size)
-                if tx_ns is None:
-                    tx_ns = transmission_time(size, rate)
-                    if len(cache) >= _TX_CACHE_CAP:
-                        cache.clear()
-                    cache[size] = tx_ns
-            else:
-                tx_ns = transmission_time(size, rate)
-            depart = t + tx_ns
-            if horizon is not None and depart > horizon:
-                # This candidate must stay queued, but its select()
-                # already advanced the scheduler — rebuild the
-                # committed-prefix state wholesale.
-                self._replay_prefix(sched_state, packets, qidx, count)
-                break
-            queue.popleft()
-            queue_bytes[qi] -= size
-            qtx[qi] += size
-            batch_bytes += size
-            add_pkt(pkt)
-            add_q(qi)
-            add_dep(depart)
-            t = depart
-            count += 1
-            # Mutation-free pre-checks for the next candidate.
-            if count >= cap or not active:
-                break
-            if bound is not None and t >= bound:
-                # Next start would land on/after the predicted arrival
-                # (start-based bound; see the prologue comment).
-                break
-            ni = active[0]
-            nq = queues[ni]
-            if not nq:
-                break
-            head = nq[0].size
-            if head != size:
-                if cache is not None:
-                    tx_head = cache.get(head)
-                    if tx_head is None:
-                        tx_head = transmission_time(head, rate)
-                        if len(cache) >= _TX_CACHE_CAP:
-                            cache.clear()
-                        cache[head] = tx_head
-                else:
-                    tx_head = transmission_time(head, rate)
-            else:
-                tx_head = tx_ns
-        if count == 1:
-            # The only candidate hit the horizon; the replay above
-            # restored per-packet-exact state.
-            return False
-        self._total_bytes -= batch_bytes
-        self.transmitted_packets += count - 1
-        self.transmitted_bytes += batch_bytes
-        prop = self.prop_delay_ns
-        last_delivery = departs[-1] + prop
-        if (self._deliver_many is not None
-                and (horizon is None or last_delivery <= horizon)):
-            # Timing-insensitive receiver (the receive_many contract):
-            # one delivery event at the LAST packet's delivery time
-            # replaces the whole per-packet chain, and the suppressed
-            # deliveries are credited when it fires.  Guarded by the
-            # horizon so packets the per-packet path would deliver
-            # before `until` are never deferred past it.
-            comp_time = departs[-1]
-            if sim.pooling:
-                # Fused inline of sim.at for the batch's two events
-                # (pooled triple-heap mode): one block allocates or
-                # reuses both and shares the seq/heap bookkeeping.
-                # Delivery first — its seq must stay below the
-                # completion's so a zero-prop-delay tie keeps the
-                # delivery-before-completion order the two sim.at calls
-                # produced.
-                free = sim._free
-                seq = sim._seq
-                heap = sim._heap
-                push = heappush
-                cb = self._deliver_batch_cb
-                if free:
-                    deliveries = free.pop()
-                    deliveries.time = last_delivery
-                    deliveries.seq = seq
-                    deliveries.callback = cb
-                    deliveries.args = (packets, departs)
-                    deliveries.cancelled = False
-                    deliveries.gen += 1
-                    sim.events_reused += 1
-                else:
-                    deliveries = Event(last_delivery, seq, cb,
-                                       (packets, departs))
-                push(heap, (last_delivery, seq, deliveries))
-                seq += 1
-                cb = self._batch_complete
-                if free:
-                    comp = free.pop()
-                    comp.time = comp_time
-                    comp.seq = seq
-                    comp.callback = cb
-                    comp.args = ()
-                    comp.cancelled = False
-                    comp.gen += 1
-                    sim.events_reused += 1
-                else:
-                    comp = Event(comp_time, seq, cb, ())
-                push(heap, (comp_time, seq, comp))
-                sim._seq = seq + 1
-                sim._live += 2
-            else:
-                deliveries = sim.at(last_delivery, self._deliver_batch_cb,
-                                    packets, departs)
-                comp = sim.at(comp_time, self._batch_complete)
-            if not self._scan_inflight:
-                self._track_in_flight(deliveries)
-            self._batch = (sched_state, packets, qidx, departs,
-                           deliveries, comp)
-            return True
-        else:
-            deliveries = sim.at_many(
-                [depart + prop for depart in departs], self._deliver,
-                packets)
-            if not self._scan_inflight:
-                track = self._track_in_flight
-                for ev in deliveries:
-                    track(ev)
-        # Scheduled after every delivery, so at a shared timestamp the
-        # completion runs last — the order the per-packet path produces.
-        comp = sim.at(departs[-1], self._batch_complete)
-        self._batch = (sched_state, packets, qidx, departs, deliveries,
-                       comp)
-        return True
-
-    def _deliver_batch(self, packets: List[Packet],
-                       departs: List[int]) -> None:
-        """The single delivery event of a batch (receive_many receivers).
-
-        Hands the whole batch to the receiver in transmission order and
-        credits the suppressed per-packet delivery events.  ``departs``
-        rides along in the event args so the fault path can split a
-        still-pending batch into already-delivered and lost halves by
-        each packet's per-packet delivery time
-        (see :meth:`_split_batch_delivery`).
-        """
-        self._deliver_many(packets)
-        self.sim.events_executed += len(packets) - 1
-
-    def _split_batch_delivery(self, bev: Event) -> None:
-        """Resolve one pending batched-delivery event at link-down time.
-
-        Per-packet execution would have delivered every packet whose
-        delivery time is already past and lost the rest on the wire;
-        reproduce exactly that: past packets go to the receiver now
-        (credited, since their events were coalesced away) and the rest
-        are accounted as in-flight losses.  Ties at ``now`` count as
-        still pending, matching a delivery event scheduled before the
-        fault event at the same timestamp.
-        """
-        packets, departs = bev.args
-        sim = self.sim
-        sim.cancel(bev)
-        now = sim.now
-        prop = self.prop_delay_ns
-        deliver = self._deliver
-        late = 0
-        for i, packet in enumerate(packets):
-            if departs[i] + prop < now:
-                deliver(packet)
-                late += 1
-            else:
-                self.dropped_packets += 1
-                self.inflight_losses += 1
-                self._publish(TOPIC_PACKET_DROP, packet, None,
-                              "lost in flight")
-        if late:
-            sim.credit_events(late)
-
-    def _replay_prefix(self, sched_state, packets, qidx, keep: int) -> None:
-        """Restore the scheduler to ``sched_state`` (the snapshot taken
-        just after the batch's first select), give the extension packets
-        back to their queues, then re-run selections ``2..keep`` —
-        re-popping those packets — so the scheduler and queues are
-        *exactly* what per-packet execution produces after ``keep``
-        transmissions.
-
-        Replaying the real ``select()`` (instead of arithmetically
-        reversing deficit updates) is what makes the rollback exact:
-        float deficit math is replayed forward, never inverted, and every
-        rotation/retirement lands in per-packet order.  Byte totals and
-        transmit counters are *not* touched here; callers adjust them for
-        the non-kept suffix only, since the kept prefix's counters are
-        already correct.
-        """
-        scheduler = self.scheduler
-        scheduler._deficits[:] = sched_state[0]
-        active = scheduler._active
-        active.clear()
-        active.extend(sched_state[1])
-        scheduler._in_active[:] = sched_state[2]
-        queues = self._queues
-        # The anchor postdates the first packet's select, so packet 0
-        # stays popped and the replay re-runs selections 2..keep.
-        for i in range(len(packets) - 1, 0, -1):
-            queues[qidx[i]].appendleft(packets[i])
-        for _ in range(keep - 1):
-            qi = scheduler.select(self)
-            queues[qi].popleft()
-
-    def _batch_complete(self) -> None:
-        """The single completion event of a fully committed batch."""
-        batch = self._batch
-        self._batch = None
-        if batch is not None:
-            n = len(batch[1])
-            self.sim.credit_events(n - 1)  # the suppressed tx-completes
-            cap = self._batch_cap
-            if n >= cap and cap < _BATCH_CAP_MAX:
-                self._batch_cap = cap * 2
-        self._transmit_next()
-
-    def _unwind_batch(self) -> None:
-        """Fall back from a committed batch to the per-packet boundary.
-
-        Packets whose transmission started strictly before ``now`` are
-        *committed* — their counters and delivery events stand, exactly
-        as if the per-packet path had transmitted them.  Everything from
-        the first packet starting at or after ``now`` is undone: delivery
-        events cancelled, packets returned to their queues, counters and
-        byte totals restored, and the scheduler replayed to the committed
-        prefix.  The in-flight packet (the last committed one) gets its
-        per-packet transmit-complete back, so the port continues packet
-        by packet — and may start a fresh batch from there.
-        """
-        batch = self._batch
-        if batch is None:
-            return
-        sim = self.sim
-        now = sim.now
-        departs = batch[3]
-        if departs[-2] < now:
-            # Fully committed (``starts[-1] = departs[-2]``): every
-            # transmission started strictly before now, so counters,
-            # occupancy, and scheduler state are already exactly what
-            # per-packet execution shows at this timestamp — and the
-            # build never leaves scheduler mutations past its last
-            # commit.  The only residual difference is event plumbing
-            # (one pending batch-completion instead of one
-            # transmit-complete at the same time), which no datapath
-            # state depends on.  Keep the batch; the completion will fire
-            # and credit the suppressed events.
-            return
-        self._batch = None
-        sched_state, packets, qidx, departs, deliveries, comp = batch
-        n = len(packets)
-        c = 1  # packet 0 started at batch time, strictly in the past
-        # starts[i] = departs[i - 1]; the early-out above guarantees
-        # departs[n - 2] >= now, so this stops at c <= n - 1.
-        while departs[c - 1] < now:
-            c += 1
-        # Suffix deliveries have not fired (their departures are in the
-        # future), so their events are guaranteed un-recycled and a plain
-        # cancel is safe.
-        cancel = sim.cancel
-        queue_bytes = self._queue_bytes
-        qtx = self.queue_tx_bytes
-        undone = 0
-        per_packet = type(deliveries) is list
-        for i in range(n - 1, c - 1, -1):
-            size = packets[i].size
-            queue_bytes[qidx[i]] += size
-            qtx[qidx[i]] -= size
-            undone += size
-            if per_packet:
-                cancel(deliveries[i])
-        if not per_packet:
-            # Coalesced delivery (receive_many receiver): replace the one
-            # batch event with the committed prefix's per-packet
-            # deliveries — packets whose delivery time already passed go
-            # to the receiver immediately (credited; their events were
-            # coalesced away), the rest are rescheduled individually.
-            cancel(deliveries)
-            prop = self.prop_delay_ns
-            deliver = self._deliver
-            track = None if self._scan_inflight else self._track_in_flight
-            late = 0
-            for i in range(c):
-                when = departs[i] + prop
-                if when < now:
-                    deliver(packets[i])
-                    late += 1
-                else:
-                    ev = sim.at(when, deliver, packets[i])
-                    if track is not None:
-                        track(ev)
-            if late:
-                sim.credit_events(late)
-        self._total_bytes += undone
-        self.transmitted_packets -= n - c
-        self.transmitted_bytes -= undone
-        self._replay_prefix(sched_state, packets, qidx, c)
-        cancel(comp)
-        # The committed tail packet is on the wire; finish it per-packet.
-        sim.at(departs[c - 1], self._tx_complete)
-        sim.credit_events(c - 1)  # tx-completes of fully departed packets
-        # The arrival predictor mispredicted; shrink the cap toward the
-        # length that did commit.
-        self._batch_cap = c if c >= 2 else 2
-
-    def sync_batched_advance(self) -> None:
-        """Make externally visible state per-packet-exact *right now*.
-
-        Samplers that read port counters mid-run outside the arrival path
-        (:class:`~repro.metrics.throughput.PortThroughputMeter`'s batched
-        backend) call this at sample boundaries; a batch with
-        transmissions still ahead of the clock is unwound to the
-        committed prefix (a fully committed one is already exact), after
-        which every counter equals what per-packet execution would show
-        at this timestamp.
-        """
-        if self._batch is not None:
-            self._unwind_batch()
-
     def evict_tail(self, queue_index: int):
         """Remove and return the tail packet of a queue (or ``None``).
 
@@ -1200,8 +602,6 @@ class EgressPort:
         over-threshold queue to admit a more deserving arrival.  The
         evicted packet is accounted as a drop.
         """
-        if self._batch is not None:
-            self._unwind_batch()
         queue = self._queues[queue_index]
         if not queue:
             return None
@@ -1234,11 +634,8 @@ class EgressPort:
         ``enqueued == transmitted + buffered + evicted + dequeue_drops``.
 
         Only the soak invariant engine calls this, on its own cadence —
-        never the datapath — so it may force an in-flight transmit batch
-        back to the per-packet boundary to make the counters exact.
+        never the datapath.
         """
-        if self._batch is not None:
-            self._unwind_batch()
         problems: List[str] = []
         buffered = 0
         for index, queue in enumerate(self._queues):
@@ -1292,8 +689,6 @@ class EgressPort:
             raise ConfigurationError(
                 f"port {self.name}: buffer must be positive, "
                 f"got {new_buffer_bytes}")
-        if self._batch is not None:
-            self._unwind_batch()
         self.buffer_bytes = new_buffer_bytes
         reinitialize = getattr(self.buffer_manager, "reinitialize", None)
         if reinitialize is not None:
@@ -1309,11 +704,6 @@ class EgressPort:
         if rate_bps <= 0:
             raise ConfigurationError(
                 f"port {self.name}: rate must be positive, got {rate_bps}")
-        if self._batch is not None:
-            # Un-started transmissions go back to their queues and will
-            # be re-committed at the new rate; the packet on the wire
-            # keeps the duration it was scheduled with, as below.
-            self._unwind_batch()
         self.link_rate_bps = rate_bps
         if self._tx_cache is not None:
             self._tx_cache.clear()
@@ -1327,8 +717,6 @@ class EgressPort:
         holds across the transition; managers without a dedicated
         reconfigure path fall back to ``reinitialize``.
         """
-        if self._batch is not None:
-            self._unwind_batch()
         self.scheduler.set_weights(weights)
         reconfigure = getattr(self.buffer_manager, "reconfigure", None)
         if reconfigure is not None:
@@ -1350,19 +738,8 @@ class EgressPort:
         """
         if not self.link_up:
             return
-        if self._batch is not None:
-            # Un-started packets return to their queues (per-packet never
-            # transmitted them); the committed ones stay on the wire and
-            # are lost just below, exactly as per-packet execution loses
-            # them.
-            self._unwind_batch()
         self.link_up = False
         if self._scan_inflight:
-            # Coalesced batch deliveries first (a batch still mid-pipe —
-            # possibly one whose completion already fired): split each
-            # into delivered and lost halves at per-packet times.
-            for bev in self.sim.pending_events_for(self._deliver_batch_cb):
-                self._split_batch_delivery(bev)
             # Fast-path bookkeeping trade: nothing was recorded per
             # packet, so find the wire's contents by scanning the event
             # heap for this port's delivery callback.  The scan returns
@@ -1377,14 +754,10 @@ class EgressPort:
                 self._publish(TOPIC_PACKET_DROP, packet, None,
                               "lost in flight")
             return
-        deliver_batch = self._deliver_batch_cb
         while self._in_flight:
             delivery, gen = self._in_flight.popleft()
             if delivery.gen != gen or delivery.cancelled:
                 continue  # already delivered (and possibly recycled)
-            if delivery.callback is deliver_batch:
-                self._split_batch_delivery(delivery)
-                continue
             packet = delivery.args[0]
             self.sim.cancel_versioned(delivery, gen)
             self.dropped_packets += 1
@@ -1406,8 +779,6 @@ class EgressPort:
         so a stall fills the port buffer and exercises admission-control
         behaviour under sustained occupancy.
         """
-        if self._batch is not None:
-            self._unwind_batch()
         self.stalled = True
 
     def resume(self) -> None:
@@ -1428,8 +799,6 @@ class EgressPort:
         if not 0.0 <= rate <= 1.0:
             raise ConfigurationError(
                 f"corruption rate must be in [0, 1], got {rate}")
-        if self._batch is not None:
-            self._unwind_batch()
         self.corrupt_rate = rate
         if rng is not None:
             self._corrupt_rng = rng
@@ -1524,10 +893,6 @@ class EgressPort:
         fast path below — and the ``_quiet`` test inlined at the hot call
         sites — needs no version bookkeeping at all.
         """
-        if self._batch is not None:
-            # A mid-run subscribe may make packet.dequeue audible: undo
-            # the speculative commits so those packets publish live.
-            self._unwind_batch()
         has = self.trace.has_subscribers
         self._topic_live = {t: has(t) for t in _PORT_TOPICS}
         self._quiet = not any(self._topic_live.values())

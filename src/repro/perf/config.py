@@ -89,21 +89,13 @@ class PerfConfig:
         comparing the unchanged datapaths; when enabled it must be
         enabled on both sides (see the ``fig05_diagnosed`` op-counter
         workload).
-    batched_link_advance:
-        ``EgressPort`` commits a run of back-to-back transmissions on an
-        uncontended, fault-free, untraced link in one pass — scheduling
-        every delivery plus ONE batch-completion event instead of one
-        transmit-complete per packet — and unwinds to the per-packet
-        boundary when an arrival, fault, or reconfiguration lands
-        mid-batch.  Executed-event counters are credited so op-counter
-        equality versus the per-packet path still holds.
     """
 
     __slots__ = ("event_pooling", "lazy_trace", "incremental_victim",
                  "batched_stats",
                  "cached_decisions", "tx_time_cache", "lazy_round_time",
                  "inline_hot_calls", "heap_scan_inflight",
-                 "queue_diagnosis", "batched_link_advance")
+                 "queue_diagnosis")
 
     def __init__(self, *, event_pooling: bool = True,
                  lazy_trace: bool = True,
@@ -114,8 +106,7 @@ class PerfConfig:
                  lazy_round_time: bool = True,
                  inline_hot_calls: bool = True,
                  heap_scan_inflight: bool = True,
-                 queue_diagnosis: bool = False,
-                 batched_link_advance: bool = True) -> None:
+                 queue_diagnosis: bool = False) -> None:
         self.event_pooling = event_pooling
         self.lazy_trace = lazy_trace
         self.incremental_victim = incremental_victim
@@ -126,7 +117,6 @@ class PerfConfig:
         self.inline_hot_calls = inline_hot_calls
         self.heap_scan_inflight = heap_scan_inflight
         self.queue_diagnosis = queue_diagnosis
-        self.batched_link_advance = batched_link_advance
 
     def clone(self, **overrides: bool) -> "PerfConfig":
         """Copy with some switches flipped."""
@@ -152,7 +142,7 @@ REFERENCE = PerfConfig(event_pooling=False, lazy_trace=False,
                        batched_stats=False, cached_decisions=False,
                        tx_time_cache=False, lazy_round_time=False,
                        inline_hot_calls=False, heap_scan_inflight=False,
-                       queue_diagnosis=False, batched_link_advance=False)
+                       queue_diagnosis=False)
 
 _active: PerfConfig = FAST
 

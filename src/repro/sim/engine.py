@@ -133,10 +133,6 @@ class Simulator:
         if pooling is None:
             pooling = active_config().event_pooling
         self.pooling = pooling
-        # The inclusive horizon of the run() call in progress (None when
-        # idle or unbounded) — read by batched-advance code that must not
-        # commit state past the point where the clock will stop.
-        self._run_until: Optional[int] = None
         self._free: List[Event] = []
 
     # -- scheduling ----------------------------------------------------------
@@ -204,11 +200,11 @@ class Simulator:
         """Bulk :meth:`at`: schedule ``callback(item)`` at each
         ``times[i]`` and return the events in order.
 
-        The batched-link-advance path schedules a whole batch's delivery
-        events in one call, amortising the per-event frame and pool/heap
-        attribute traffic.  Caller guarantees every time is ``>= now``
-        (departure times of transmissions starting now or later), so the
-        past-check is hoisted to the first entry only.
+        Bulk callers (preloaded arrival trains) schedule a whole train in
+        one call, amortising the per-event frame and pool/heap attribute
+        traffic.  Caller guarantees every time is ``>= now`` (a train
+        running forward from ``times[0]``), so the past-check is hoisted
+        to the first entry only.
         """
         if times and times[0] < self.now:
             raise SimulationError(
@@ -294,7 +290,6 @@ class Simulator:
                 f"max_events must be >= 0 (got {max_events})")
         self._running = True
         self._stopped = False
-        self._run_until = until
         try:
             if (self.pooling and self.profiler is None
                     and max_events is None):
@@ -302,7 +297,6 @@ class Simulator:
             else:
                 self._run_general(until, max_events)
         finally:
-            self._run_until = None
             self._running = False
 
     def _run_pooled(self, until: Optional[int]) -> None:
@@ -429,16 +423,6 @@ class Simulator:
         """Stop the loop after the currently executing callback returns."""
         self._stopped = True
 
-    def credit_events(self, n: int) -> None:
-        """Fold ``n`` logical events into :attr:`events_executed`.
-
-        Used by batching fast paths (see
-        :attr:`repro.perf.config.PerfConfig.batched_link_advance`) that
-        coalesce N would-be events into one: the suppressed N-1 are
-        credited so operation counters stay equal to the per-event path's.
-        """
-        self.events_executed += n
-
     @property
     def events_scheduled(self) -> int:
         """Total events ever scheduled (the sequence counter)."""
@@ -466,21 +450,24 @@ class Simulator:
         """Cold-path sanity audit of the operation counters.
 
         Returns problem descriptions (empty = sane): the live-event
-        count stays non-negative, the free list is bounded by
-        ``EVENT_POOL_CAP``, and the heap never holds *more* live events
-        than :meth:`pending` reports.  Unlike :meth:`check_consistency`
-        this audit is safe to run from inside an event callback: the
-        pooled run loop batches its ``_live`` decrement until
-        :meth:`run` returns, so mid-run the counter may exceed the heap
-        count (never the reverse).  ``events_executed`` may likewise
-        exceed ``events_scheduled`` — batching fast paths credit
-        suppressed events without consuming sequence numbers — so the
-        counters are not compared against each other.  Used by the soak
-        invariant engine on its check cadence, never by the datapath.
+        count stays non-negative, no more events have executed than were
+        ever scheduled, the free list is bounded by ``EVENT_POOL_CAP``,
+        and the heap never holds *more* live events than :meth:`pending`
+        reports.  Unlike :meth:`check_consistency` this audit is safe to
+        run from inside an event callback: the pooled run loop batches
+        its ``_live`` decrement and its ``events_executed`` increment
+        until :meth:`run` returns, so mid-run the live counter may exceed
+        the heap count and the executed counter lags — both only in the
+        direction these checks tolerate.  Used by the soak invariant
+        engine on its check cadence, never by the datapath.
         """
         problems: List[str] = []
         if self.pending() < 0:
             problems.append(f"negative live-event count {self.pending()}")
+        if self.events_executed > self.events_scheduled:
+            problems.append(
+                f"{self.events_executed} events executed but only "
+                f"{self.events_scheduled} ever scheduled")
         if self.pool_size() > EVENT_POOL_CAP:
             problems.append(
                 f"free list holds {self.pool_size()} events, cap is "

@@ -41,8 +41,10 @@ SNAPSHOT_MAGIC = "repro-snapshot"
 #: the second one keeps its pending events where nothing reads them and
 #: would restore to an empty heap and finish silently; 4: ports keep the
 #: scheduler's enqueue hook, schedulers their bound queues and forwarding
-#: tables their single-port routes, none of which a version-3 world has).
-SNAPSHOT_VERSION = 4
+#: tables their single-port routes, none of which a version-3 world has;
+#: 5: ports lose the transmit-batch state and the arrival predictor a
+#: version-4 world carries).
+SNAPSHOT_VERSION = 5
 
 _JSON_SCALARS = (str, int, float, bool, type(None))
 

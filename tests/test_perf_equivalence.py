@@ -160,20 +160,6 @@ def test_golden_trace_hash_reference_equals_fast(tmp_path):
     assert reference_hash == fast_hash
 
 
-def test_golden_trace_hash_across_scheduler_and_advance(tmp_path):
-    """The switch that restructures the event chain leaves no trace
-    fingerprint: per-packet and batched link advance, on the one event
-    scheduler there is, produce the identical sha256."""
-    from repro.perf.config import PerfConfig
-
-    hashes = {}
-    for batched in (False, True):
-        with use_config(PerfConfig(batched_link_advance=batched)):
-            hashes[batched] = _traced_fig05_run(tmp_path,
-                                                f"batch{batched}")
-    assert len(set(hashes.values())) == 1, hashes
-
-
 # -- 3. meter backends and the op-counter golden ------------------------------
 
 #: Every arrival is one MTU; one every 7.5 us offers ~1.6x a 1 Gbps link.
@@ -214,15 +200,12 @@ def test_meter_backends_sample_identically():
 
 
 class _Sink:
-    """Counts receipts; ``receive_many`` opts into coalesced delivery."""
+    """Counts receipts."""
 
     received = 0
 
     def receive(self, packet) -> None:
         self.received += 1
-
-    def receive_many(self, packets) -> None:
-        self.received += len(packets)
 
 
 class _Feeder:

@@ -1,10 +1,13 @@
 """Unit tests for the multi-queue egress port."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.dynaq import DynaQBuffer
 from repro.net.packet import Packet
 from repro.net.port import EgressPort
+from repro.perf.config import FAST, REFERENCE, use_config
 from repro.queueing.besteffort import BestEffortBuffer
 from repro.queueing.schedulers.drr import DRRScheduler
 from repro.queueing.schedulers.spq import SPQScheduler
@@ -313,3 +316,155 @@ def test_tx_cache_stays_bounded_under_size_sweep():
     from repro.sim.units import transmission_time
     for size, tx_ns in port._tx_cache.items():
         assert tx_ns == transmission_time(size, port.link_rate_bps)
+
+
+# -- differentials: burst entry point, FAST against REFERENCE -----------------
+
+def _dynaq_port(sim, buffer_bytes=30_000, quanta=(1500,) * 4):
+    return make_port(sim, buffer_bytes=buffer_bytes, manager=DynaQBuffer(),
+                     scheduler=DRRScheduler(list(quanta)))
+
+
+def _port_counters(sim, port, sink):
+    manager = port.buffer_manager
+    return {
+        "enqueued": port.enqueued_packets,
+        "dropped": port.dropped_packets,
+        "transmitted": port.transmitted_packets,
+        "tx_bytes": port.transmitted_bytes,
+        "inflight_losses": port.inflight_losses,
+        "events": sim.events_executed,
+        "steals": manager.threshold_moves,
+        "protected_drops": manager.protected_drops,
+        "log": tuple((t, p.service_class, p.size, p.flow_id)
+                     for t, p in sink.packets),
+    }
+
+
+def _burst_vs_sends(bursts):
+    """Port counters with each burst offered once through ``send_many``
+    and once as one ``send`` per packet, every burst 40 us apart."""
+    results = []
+    for use_burst in (False, True):
+        sim = Simulator()
+        port, sink = _dynaq_port(sim, buffer_bytes=6_000)
+        for b, burst in enumerate(bursts):
+            packets = [make_packet(size, flow_id=b * 100 + i,
+                                   service_class=queue)
+                       for i, (queue, size) in enumerate(burst)]
+            if use_burst:
+                sim.at(b * 40_000, port.send_many, packets)
+            else:
+                for packet in packets:
+                    sim.at(b * 40_000, port.send, packet)
+        sim.run()
+        counters = _port_counters(sim, port, sink)
+        # The feeder itself differs (one burst event vs one per packet),
+        # so the simulator event count is harness noise here; everything
+        # the port decided must still be identical.
+        del counters["events"]
+        results.append(counters)
+    return results
+
+
+def test_send_many_burst_equals_individual_sends():
+    """``send_many`` (the burst entry point, with its drop-memo fast
+    path) must make the same admit/drop choices as one ``send`` per
+    packet — including under drop storms that exercise the memo."""
+    # A tiny buffer forces sustained drops; repeated (queue, size) pairs
+    # within each burst are what the memo caches.
+    results = _burst_vs_sends([[(i % 4, 1200) for i in range(16)]] * 8)
+    assert results[0] == results[1]
+    assert results[0]["dropped"] > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(bursts=st.lists(
+    st.lists(st.tuples(st.integers(0, 3), st.sampled_from([300, 1500])),
+             min_size=1, max_size=24),
+    min_size=1, max_size=6))
+@example(bursts=[[(0, 300), (1, 300), (1, 1500), (3, 300), (0, 300),
+                  (0, 300), (0, 300), (0, 300), (1, 1500), (1, 300),
+                  (0, 1500), (1, 300)]])
+def test_send_many_matches_individual_sends_on_random_bursts(bursts):
+    """Random drop storms: a memoised repeat-pure drop must not outlive a
+    "port buffer full" drop whose admit() stole threshold first."""
+    results = _burst_vs_sends(bursts)
+    assert results[0] == results[1]
+
+
+ARRIVALS = st.lists(
+    st.tuples(st.integers(0, 4),        # gap, in 6 us steps
+              st.integers(0, 3),        # service class
+              st.integers(64, 3000)),   # size
+    min_size=1, max_size=80)
+
+
+def _fast_vs_reference(steps, disturbance, when):
+    """Port counters from the REFERENCE and the FAST port (inline DRR
+    select, fused completion + delivery schedule, heap-scanned
+    link-down) for the same arrivals and the same disturbance.
+
+    The 6 us gap grid stacks same-instant arrivals and leaves drain gaps;
+    unequal quanta make every DRR grant count.  The disturbance lands
+    300 ns after one of the arrivals, off that grid: every packet takes
+    at least 512 ns to serialise, so the port is mid-transmission then
+    and a flap always catches a packet on the wire."""
+    clock = 0
+    arrivals = []
+    for gap, queue, size in steps:
+        clock += gap * 6_000
+        arrivals.append((clock, queue, size))
+    at = arrivals[when % len(arrivals)][0] + 300
+    results = []
+    for config in (REFERENCE, FAST):
+        with use_config(config):
+            sim = Simulator()
+            port, sink = _dynaq_port(sim, quanta=(1500, 3000, 600, 1500))
+        for i, (time_ns, queue, size) in enumerate(arrivals):
+            sim.at(time_ns, port.send,
+                   make_packet(size, flow_id=i, service_class=queue))
+        if disturbance == "flap":
+            sim.at(at, port.set_link_down)
+            sim.at(at + 20_000, port.set_link_up)
+        elif disturbance == "reweight":
+            sim.at(at, port.reconfigure_weights,
+                   [300.0, 3000.0, 1500.0, 1500.0])
+        elif disturbance == "stall":
+            sim.at(at, port.stall)
+            sim.at(at + 20_000, port.resume)
+        sim.run()
+        assert port.total_bytes() == 0
+        assert port.audit_conservation() == []
+        results.append(_port_counters(sim, port, sink))
+    return results
+
+
+@settings(max_examples=50, deadline=None)
+@given(steps=ARRIVALS, disturbance=st.sampled_from([None, "stall"]),
+       when=st.integers(0, 79))
+def test_fast_port_matches_reference_on_random_traffic(steps, disturbance,
+                                                        when):
+    """Same arrivals → the same delivery timeline and counters from the
+    FAST and the REFERENCE port, undisturbed or across a stall."""
+    results = _fast_vs_reference(steps, disturbance, when)
+    assert results[0] == results[1]
+
+
+@settings(max_examples=50, deadline=None)
+@given(steps=ARRIVALS, when=st.integers(0, 79))
+def test_fast_port_matches_reference_across_link_flap(steps, when):
+    """A link flap mid-transmission loses exactly the same packets on
+    the wire in FAST and REFERENCE, and both resume identically."""
+    results = _fast_vs_reference(steps, "flap", when)
+    assert results[0] == results[1]
+    assert results[0]["inflight_losses"] > 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(steps=ARRIVALS, when=st.integers(0, 79))
+def test_fast_port_matches_reference_across_weight_reconfigure(steps, when):
+    """A DRR weight reconfiguration mid-transmission reselects under the
+    new weights identically in FAST and REFERENCE."""
+    results = _fast_vs_reference(steps, "reweight", when)
+    assert results[0] == results[1]

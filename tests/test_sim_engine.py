@@ -251,6 +251,20 @@ def test_scheduled_and_cancelled_counters():
     assert sim.pending() == 0
 
 
+@pytest.mark.parametrize("pooling", [True, False])
+def test_audit_counters_reports_more_executed_than_scheduled(pooling):
+    """Every executed event consumed a sequence number, so a run that
+    reports more executions than schedules has a corrupt counter."""
+    sim = Simulator(pooling=pooling)
+    for i in range(3):
+        sim.schedule(i + 1, lambda: None)
+    sim.run()
+    assert sim.audit_counters() == []
+    sim.events_executed += 1
+    assert sim.audit_counters() == [
+        "4 events executed but only 3 ever scheduled"]
+
+
 def test_profiler_hook_records_each_event():
     sim = Simulator()
 

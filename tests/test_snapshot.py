@@ -111,13 +111,14 @@ def test_unknown_version_rejected(tmp_path):
     good = path.read_bytes()
     header_line, _, rest = good.partition(b"\n")
     header = json.loads(header_line)
-    assert header["version"] == SNAPSHOT_VERSION == 4
+    assert header["version"] == SNAPSHOT_VERSION == 5
     # 1 is what the builds before the recorder's pickled handlers
     # changed shape wrote; 2 those that could park every pending event
     # in a calendar queue this build no longer reads; 3 those whose
-    # ports, schedulers and forwarding tables lack the fast-path wiring.
-    # Each is refused by its header, and the payload never reaches pickle.
-    for version in (99, 1, 2, 3):
+    # ports, schedulers and forwarding tables lack the fast-path wiring;
+    # 4 those whose ports carry transmit-batch state.  Each is refused
+    # by its header, and the payload never reaches pickle.
+    for version in (99, 1, 2, 3, 4):
         header["version"] = version
         path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
         with pytest.raises(SnapshotError,
@@ -278,18 +279,14 @@ def _wire_contents(world):
             for port in world.iter_ports()]
 
 
-def test_kill_restore_reference_with_batched_advance(tmp_path):
+def test_kill_restore_reference_with_inline_hot_calls(tmp_path):
     """Kill/restore stays byte-identical on the bare-Event reference heap
-    with batched link advance armed — the perf path that restructures
-    the event chain itself, forced onto the REFERENCE base (FAST, where
-    it is on by default, is the test above)."""
+    with the inlined port datapath armed — queue deques bound into the
+    scheduler and the port's own DRR select, forced onto the REFERENCE
+    base (FAST, where it is on by default, is the test above)."""
     from repro.perf.config import REFERENCE, use_config
 
-    # Batching is only statically eligible on ports whose dequeue hook
-    # was elided as a provable no-op, which is inline_hot_calls' job —
-    # so the REFERENCE variant needs that switch too.
-    config = REFERENCE.clone(batched_link_advance=True,
-                             inline_hot_calls=True)
+    config = REFERENCE.clone(inline_hot_calls=True)
     every_ns = milliseconds(7)
 
     with use_config(config):
@@ -301,9 +298,10 @@ def test_kill_restore_reference_with_batched_advance(tmp_path):
                 every_ns=every_ns, out=tmp_path / "a.snap"))
             result_a = world_a.finish(world_a)
             counters_a = _op_counters(world_a)
-            # The premise: the bottleneck ran with batched link advance
-            # armed (only plain-DRR ports qualify, so `any`, not `all`).
-            assert any(port._batch_ok for port in world_a.iter_ports())
+            # The premise: the bottleneck ran the port's inlined DRR
+            # select (only plain-DRR ports get it, so `any`, not `all`).
+            assert any(port._drr is not None
+                       for port in world_a.iter_ports())
 
         trace_b = tmp_path / "b.jsonl"
         snap_b = tmp_path / "b.snap"

@@ -92,7 +92,7 @@ def test_scenario_json_roundtrip(tmp_path):
     {"duration_ms": 0},
     {"perf_base": "warp"},
     {"perf": {"flux_capacitor": True}},
-    {"perf": {"batched_link_advance": "yes"}},
+    {"perf": {"heap_scan_inflight": "yes"}},
     {"torture": "rack"},
     {"torture": "kill-restore"},            # needs snapshot_every_ms
     {"snapshot_every_ms": 99.0},            # past the horizon
@@ -112,10 +112,11 @@ def test_from_dict_rejects_unknown_keys():
 
 
 def test_retired_perf_switch_is_refused_by_name():
-    """A triage bundle written before the calendar queue or the packet
-    pool was deleted fails loudly at load, not by silently running
-    another config."""
-    for switch in ("calendar_queue", "packet_pooling"):
+    """A triage bundle written before the calendar queue, the packet
+    pool or batched link advance was deleted fails loudly at load, not
+    by silently running another config."""
+    for switch in ("calendar_queue", "packet_pooling",
+                   "batched_link_advance"):
         with pytest.raises(ConfigurationError,
                            match=f"unknown perf switch '{switch}'"):
             tiny(perf={switch: True})

@@ -2,12 +2,13 @@
 """Trace-identity gate for the datapath perf switches.
 
 Two pairs, each of which must share one sha256 across its full JSONL
-traces (see docs/performance.md):
+traces under the FAST and REFERENCE configurations (see
+docs/performance.md):
 
-* the fig. 5 fair-sharing workload (plain DRR + DynaQ) under both
-  link-advance modes, per-packet and batched;
+* the fig. 5 fair-sharing workload (plain DRR + DynaQ, whose FAST port
+  runs the inlined DRR select);
 * a small Fig. 8 FCT cell (SPQ/DRR switch ports behind PIAS, FIFO +
-  BestEffort NICs) under the FAST and REFERENCE configurations.
+  BestEffort NICs).
 
 Exit code: 0 when both pairs match, 1 on any divergence.  Used by the
 ``trace-matrix`` CI job.
@@ -33,12 +34,15 @@ def traced_run(out: Path, config: PerfConfig, run) -> str:
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
-def check_pair(workdir: Path, name: str, run, configs) -> bool:
+def check_pair(workdir: Path, name: str, run) -> bool:
     digests = set()
-    for label, config in configs:
+    for label, config in (("reference", REFERENCE), ("fast", FAST)):
         digest = traced_run(workdir / f"{name}-{label}.jsonl", config, run)
         digests.add(digest)
         print(f"{name + ' ' + label:24s} {digest}")
+    if len(digests) != 1:
+        print(f"FAIL: {name} trace hash divergence between FAST and "
+              "REFERENCE")
     return len(digests) == 1
 
 
@@ -56,19 +60,12 @@ def main(argv=None) -> int:
         workdir, "fig05",
         lambda trace: run_fair_sharing(
             "dynaq", time_unit_s=args.time_unit, sample_interval_s=0.01,
-            trace=trace),
-        [("perpacket", PerfConfig(batched_link_advance=False)),
-         ("batched", PerfConfig(batched_link_advance=True))])
+            trace=trace))
     fig08_same = check_pair(
         workdir, "fig08",
         lambda trace: run_fct_experiment(
             "dynaq", load=0.6, num_flows=40, seed=1,
-            distribution=WEB_SEARCH.truncated(1_000_000), trace=trace),
-        [("reference", REFERENCE), ("fast", FAST)])
-    if not fig05_same:
-        print("FAIL: fig05 trace hash divergence across link-advance modes")
-    if not fig08_same:
-        print("FAIL: fig08 trace hash divergence between FAST and REFERENCE")
+            distribution=WEB_SEARCH.truncated(1_000_000), trace=trace))
     if not (fig05_same and fig08_same):
         return 1
     print("both pairs sha256-identical")
