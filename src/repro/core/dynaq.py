@@ -93,23 +93,18 @@ class DynaQBuffer(BufferManager):
             else None)
         self._thresholds: List[int] = []
         self._satisfaction: List[int] = []
-        # Recurring Algorithm-1 outcomes (see Decision's docstring);
-        # None (allocate fresh) in reference mode.
-        if self._accept is not None:
-            self._drop_no_victim = Decision.dropped(
-                "threshold exceeded, no victim")
-            self._drop_unsatisfied = Decision.dropped("victim unsatisfied")
-            # Repeat-pure drops (see the base class): both outcomes
-            # return before any threshold steal, so re-admitting the
-            # same (queue, size) with no intervening accept reproduces
-            # them exactly.  "port buffer full" is deliberately absent —
-            # that path can follow a steal (and, in the evicting
-            # subclass, trigger evictions).
-            self.pure_drop_decisions = (self._drop_unsatisfied,
-                                        self._drop_no_victim)
-        else:
-            self._drop_no_victim = None
-            self._drop_unsatisfied = None
+        # Recurring Algorithm-1 outcomes (see Decision's docstring).
+        self._drop_no_victim = Decision.dropped(
+            "threshold exceeded, no victim")
+        self._drop_unsatisfied = Decision.dropped("victim unsatisfied")
+        # Repeat-pure drops (see the base class): both outcomes return
+        # before any threshold steal, so re-admitting the same (queue,
+        # size) with no intervening accept reproduces them exactly.
+        # "port buffer full" is deliberately absent — that path can
+        # follow a steal (and, in the evicting subclass, trigger
+        # evictions).
+        self.pure_drop_decisions = (self._drop_unsatisfied,
+                                    self._drop_no_victim)
 
     # -- threshold state ---------------------------------------------------------
     #
@@ -242,8 +237,8 @@ class DynaQBuffer(BufferManager):
             tracker = self._tracker
             if tracker is not None:
                 # Inline replica of IncrementalVictim.query: skip the
-                # arriving queue.  With inline_hot_calls on, every
-                # over-threshold arrival lands here, so the method call
+                # arriving queue.  The port's inline admission sends
+                # every over-threshold arrival here, so the method call
                 # and the _victim_is_protected helper below are
                 # flattened into straight-line code.
                 victim = tracker._best
@@ -256,8 +251,7 @@ class DynaQBuffer(BufferManager):
             if victim is None:
                 # Single-queue port: no one to steal from.
                 self.drops += 1
-                return (self._drop_no_victim
-                        or Decision.dropped("threshold exceeded, no victim"))
+                return self._drop_no_victim
             # _victim_is_protected, inlined (Algorithm 1, line 3): drop
             # when the victim cannot give up ``size`` bytes or is an
             # unsatisfied active queue.
@@ -268,8 +262,7 @@ class DynaQBuffer(BufferManager):
                     and victim_threshold - size < self._satisfaction[victim]):
                 self.drops += 1
                 self.protected_drops += 1
-                return (self._drop_unsatisfied
-                        or Decision.dropped("victim unsatisfied"))
+                return self._drop_unsatisfied
             self._move_threshold(victim, queue_index, size)
         # _port_tail_drop, inlined: this is the per-packet hot exit and
         # the helper call was the last per-admit Python call left.
@@ -278,8 +271,8 @@ class DynaQBuffer(BufferManager):
                  else port.total_bytes())
         if total + size > port.buffer_bytes:
             self.drops += 1
-            return self._drop_full or Decision.dropped("port buffer full")
-        return self._accept or Decision.accepted()
+            return self._drop_full
+        return self._accept
 
     def repeat_drop(self, decision: Decision) -> None:
         self.drops += 1

@@ -64,9 +64,9 @@ class ArenaPort(object):
 
     ``num_queues`` output ports share ``buffer_cells`` cells.  The
     private ``_queue_bytes`` list and ``_total_bytes`` int are exposed
-    so the managers' ``inline_hot_calls`` fast path works here exactly
-    as it does on :class:`~repro.net.port.EgressPort` — FAST and
-    REFERENCE perf configs observe identical state.
+    so the managers' direct occupancy reads work here exactly as they
+    do on :class:`~repro.net.port.EgressPort` — FAST and REFERENCE perf
+    configs observe identical state.
     """
 
     def __init__(self, num_queues: int, buffer_cells: int,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from ..perf.config import active_config
 from ..queueing.base import BufferManager
@@ -39,8 +39,8 @@ from .packet import Packet
 
 Classifier = Callable[[Packet], int]
 
-#: Topics a port publishes per packet; the fast publish path caches one
-#: "anyone listening?" flag per entry against the bus version.
+#: Topics a port publishes per packet; the port caches one "anyone
+#: listening?" flag per entry, refreshed by a bus watcher.
 _PORT_TOPICS = (TOPIC_PACKET_DROP, TOPIC_PACKET_ENQUEUE,
                 TOPIC_PACKET_DEQUEUE, TOPIC_PACKET_MARK)
 
@@ -89,11 +89,6 @@ class EgressPort:
         self.stalled = False
         self.corrupt_rate = 0.0
         self._corrupt_rng = None
-        # In-flight deliveries as (event, generation) pairs: with event
-        # pooling the simulator recycles executed events, so a retained
-        # handle is only trustworthy while its generation matches (see
-        # repro.sim.engine's module docstring).
-        self._in_flight: Deque[Tuple[Event, int]] = deque()
 
         # Counters for experiments and assertions.
         self.enqueued_packets = 0
@@ -114,41 +109,35 @@ class EgressPort:
         # packet.dequeue event (see PortThroughputMeter).
         self.queue_tx_bytes: List[int] = [0] * self.num_queues
 
-        # Publish-path selection (construction-time, never per packet):
-        # the fast path caches per-topic subscriber flags, refreshed by a
-        # bus watcher on every (un)subscribe, plus one all-silent flag
-        # (_quiet) that the hot call sites test inline; the reference
-        # path is the original lazy-lambda emit on every publish.
+        # Per-topic subscriber flags, refreshed by a bus watcher on every
+        # (un)subscribe, plus one all-silent flag (_quiet) that the hot
+        # call sites test inline.  The watcher is also how bench/probe.py
+        # finds every port of a world, so it is registered for every port
+        # that has a bus.
         self._topic_live: Dict[str, bool] = {}
-        self._quiet = False
-        if active_config().lazy_trace:
-            self._publish = self._publish_cached
-            if trace is None:
-                self._quiet = True
-            else:
-                trace.add_watcher(self._refresh_topic_flags)
-                self._refresh_topic_flags()
-        # Memoised transmission_time per packet size (fast path): real
-        # traffic uses a handful of sizes (MTU, ACK), so the per-packet
-        # ceil division collapses to a dict hit.  None = compute fresh.
-        self._tx_cache: Optional[Dict[int, int]] = (
-            {} if active_config().tx_time_cache else None)
-        # Construction-time call elision (fast path): skip manager and
-        # scheduler hooks that are provably the base-class no-ops, inline
-        # the default classifier, and bind the queue deques to the
-        # scheduler so it reads them without per-packet protocol calls.
-        inline = active_config().inline_hot_calls
+        self._quiet = True
+        if trace is not None:
+            trace.add_watcher(self._refresh_topic_flags)
+            self._refresh_topic_flags()
+        # Memoised transmission_time per packet size: real traffic uses a
+        # handful of sizes (MTU, ACK), so the per-packet ceil division
+        # collapses to a dict hit.
+        self._tx_cache: Dict[int, int] = {}
+        # Construction-time call elision: skip manager and scheduler
+        # hooks that are provably the base-class no-ops, inline the
+        # default classifier, and bind the queue deques to the scheduler
+        # so it reads them without per-packet protocol calls.
         manager_cls = type(buffer_manager)
         self._on_enqueued = (
-            None if inline and manager_cls.on_enqueued
-            is BufferManager.on_enqueued else buffer_manager.on_enqueued)
+            None if manager_cls.on_enqueued is BufferManager.on_enqueued
+            else buffer_manager.on_enqueued)
         self._on_dequeue = (
-            None if inline and manager_cls.on_dequeue
-            is BufferManager.on_dequeue else buffer_manager.on_dequeue)
+            None if manager_cls.on_dequeue is BufferManager.on_dequeue
+            else buffer_manager.on_dequeue)
         self._sched_on_enqueue = (
-            None if inline and type(scheduler).on_enqueue
-            is Scheduler.on_enqueue else scheduler.on_enqueue)
-        self._inline_classify = inline and classifier is None
+            None if type(scheduler).on_enqueue is Scheduler.on_enqueue
+            else scheduler.on_enqueue)
+        self._inline_classify = classifier is None
         # Inline-admission fast path: when the manager publishes the
         # contract list (see BufferManager.inline_admit_thresholds),
         # send()/send_many() accept under-threshold packets without the
@@ -158,13 +147,9 @@ class EgressPort:
         # it wholesale (DynaQ reinitialize).
         owner = manager_cls.contract_owner
         self._fast_admit = (
-            buffer_manager if inline and owner is not None
+            buffer_manager if owner is not None
             and manager_cls.admit is owner.admit else None)
-        if inline:
-            scheduler.bind_queues(self._queues)
-        # Per-packet in-flight tracking vs heap scan on (rare) link-down:
-        # see set_link_down.
-        self._scan_inflight = active_config().heap_scan_inflight
+        scheduler.bind_queues(self._queues)
         # Opt-in queue diagnosis (PrintQueue-style sketches, see
         # repro.diagnosis): constructed only under the queue_diagnosis
         # switch, so the default datapath pays one `is not None` test
@@ -182,20 +167,17 @@ class EgressPort:
         self._drop_memo_decs: List[Optional[object]] = (
             [None] * self.num_queues)
         self._memo_zeros = [0] * self.num_queues
-        # Transmit-completion callback, bound once: the fast path skips
-        # the _on_transmit_complete indirection (one Python call per
-        # packet) and hands the scheduler _transmit_next directly.
-        self._tx_complete = (self._transmit_next if inline
-                             else self._on_transmit_complete)
-        # Inline-DRR fast path (construction-time type pin): send() and
+        # Transmit-completion callback, bound once (attach_pool in
+        # repro.net.shared_buffer re-points it at its releasing wrapper).
+        self._tx_complete = self._transmit_next
+        # Inline DRR (construction-time type pin): send() and
         # _transmit_next() replicate on_enqueue/select against the
         # scheduler's own state containers, skipping a Python call per
         # packet.  The container identities are stable for the port's
         # lifetime — reconfiguration mutates them in place.
         self._drr = ((scheduler._deficits, scheduler._active,
                       scheduler._in_active)
-                     if inline and type(scheduler) is DRRScheduler
-                     else None)
+                     if type(scheduler) is DRRScheduler else None)
 
         bind_clock = getattr(scheduler, "bind_clock", None)
         if bind_clock is not None:
@@ -213,7 +195,7 @@ class EgressPort:
         self.peer = peer
         # One bound method per port, reused for every delivery: saves the
         # per-packet attribute chain + bound-method allocation, and gives
-        # the heap-scan fault path a unique identity to match on.
+        # set_link_down's heap scan a unique identity to match on.
         self._deliver = peer.receive
 
     def _default_classifier(self, packet: Packet) -> int:
@@ -224,12 +206,11 @@ class EgressPort:
         default service-class mapping).
 
         The supported way to change classification after construction:
-        it also turns off the inlined default-classifier fast path so
-        the new function is actually consulted.
+        it also turns off the inlined default classifier so the new
+        function is actually consulted.
         """
         self._classifier = classifier or self._default_classifier
-        self._inline_classify = (classifier is None
-                                 and active_config().inline_hot_calls)
+        self._inline_classify = classifier is None
 
     # -- PortView protocol ---------------------------------------------------------
 
@@ -499,15 +480,12 @@ class EgressPort:
         decision = None if on_dequeue is None else on_dequeue(
             packet, queue_index)
         cache = self._tx_cache
-        if cache is not None:
-            tx_ns = cache.get(size)
-            if tx_ns is None:
-                tx_ns = transmission_time(size, self.link_rate_bps)
-                if len(cache) >= _TX_CACHE_CAP:
-                    cache.clear()
-                cache[size] = tx_ns
-        else:
+        tx_ns = cache.get(size)
+        if tx_ns is None:
             tx_ns = transmission_time(size, self.link_rate_bps)
+            if len(cache) >= _TX_CACHE_CAP:
+                cache.clear()
+            cache[size] = tx_ns
         self._busy = True
         quiet = self._quiet
         sketch = self._sketch
@@ -586,13 +564,7 @@ class EgressPort:
             heappush(heap, (dtime, dseq, delivery))
         else:
             sim.schedule(tx_ns, self._tx_complete)
-            delivery = sim.schedule(tx_ns + self.prop_delay_ns,
-                                    self._deliver, packet)
-        if not self._scan_inflight:
-            self._track_in_flight(delivery)
-
-    def _on_transmit_complete(self) -> None:
-        self._transmit_next()
+            sim.schedule(tx_ns + self.prop_delay_ns, self._deliver, packet)
 
     def evict_tail(self, queue_index: int):
         """Remove and return the tail packet of a queue (or ``None``).
@@ -705,8 +677,7 @@ class EgressPort:
             raise ConfigurationError(
                 f"port {self.name}: rate must be positive, got {rate_bps}")
         self.link_rate_bps = rate_bps
-        if self._tx_cache is not None:
-            self._tx_cache.clear()
+        self._tx_cache.clear()
 
     def reconfigure_weights(self, weights: Sequence[float]) -> None:
         """Change the scheduler weights at runtime (operator action).
@@ -735,31 +706,17 @@ class EgressPort:
         are lost — their delivery events are cancelled and accounted as
         drops, which is what makes a flap visible to transports as loss
         rather than as a silent pause.
+
+        Nothing is recorded per packet to make this possible: the wire's
+        contents are found by scanning the event heap for this port's
+        delivery callback, which yields them in schedule order.
         """
         if not self.link_up:
             return
         self.link_up = False
-        if self._scan_inflight:
-            # Fast-path bookkeeping trade: nothing was recorded per
-            # packet, so find the wire's contents by scanning the event
-            # heap for this port's delivery callback.  The scan returns
-            # events in schedule order — the same order the tracking
-            # deque would yield — so the published drop sequence is
-            # identical across modes.
-            for delivery in self.sim.pending_events_for(self._deliver):
-                packet = delivery.args[0]
-                self.sim.cancel(delivery)
-                self.dropped_packets += 1
-                self.inflight_losses += 1
-                self._publish(TOPIC_PACKET_DROP, packet, None,
-                              "lost in flight")
-            return
-        while self._in_flight:
-            delivery, gen = self._in_flight.popleft()
-            if delivery.gen != gen or delivery.cancelled:
-                continue  # already delivered (and possibly recycled)
+        for delivery in self.sim.pending_events_for(self._deliver):
             packet = delivery.args[0]
-            self.sim.cancel_versioned(delivery, gen)
+            self.sim.cancel(delivery)
             self.dropped_packets += 1
             self.inflight_losses += 1
             self._publish(TOPIC_PACKET_DROP, packet, None, "lost in flight")
@@ -807,24 +764,6 @@ class EgressPort:
                 f"port {self.name}: corruption needs an rng for "
                 "deterministic replay")
 
-    def _track_in_flight(self, delivery: Event) -> None:
-        """Remember a scheduled delivery so link-down can lose it.
-
-        Executed events are marked cancelled by the simulator (and may
-        then be recycled under event pooling), so pruning entries whose
-        event is dead or whose generation moved on keeps the deque
-        bounded by the propagation-delay pipe depth without a separate
-        completion callback.
-        """
-        in_flight = self._in_flight
-        while in_flight:
-            head, gen = in_flight[0]
-            if head.cancelled or head.gen != gen:
-                in_flight.popleft()
-            else:
-                break
-        in_flight.append((delivery, delivery.gen))
-
     # -- queue diagnosis (opt-in, self._sketch is None by default) ---------------
 
     def _sketch_limit(self, queue_index: int) -> Optional[int]:
@@ -862,10 +801,8 @@ class EgressPort:
     def _sketch_publish(self, snapshot: dict) -> None:
         """Mirror a threshold-cross/drop snapshot onto the trace bus.
 
-        Uses the lazy ``emit`` path in both perf modes — the topic is
-        silent in almost every run, and identical gating on both sides
-        keeps FAST and REFERENCE traces byte-identical with the
-        diagnosis switch on.
+        Uses the lazy ``emit`` path: the topic is silent in almost every
+        run, so the payload closure is almost never called.
         """
         trace = self.trace
         if trace is not None:
@@ -877,33 +814,22 @@ class EgressPort:
 
     # -- tracing -----------------------------------------------------------------
 
-    def _publish(self, topic: str, packet: Packet,
-                 queue_index: Optional[int], detail: str) -> None:
-        trace = self.trace
-        if trace is not None:
-            trace.emit(topic, lambda: dict(
-                port=self.name, time=self.sim.now, packet=packet,
-                queue=queue_index, detail=detail,
-                queue_bytes=tuple(self._queue_bytes)))
-
     def _refresh_topic_flags(self) -> None:
         """Recompute the per-topic liveness flags (bus watcher target).
 
-        Runs on every (un)subscribe, never per packet, so the per-publish
-        fast path below — and the ``_quiet`` test inlined at the hot call
-        sites — needs no version bookkeeping at all.
+        Runs on every (un)subscribe, never per packet, so :meth:`_publish`
+        — and the ``_quiet`` test inlined at the hot call sites — needs
+        no version bookkeeping at all.
         """
         has = self.trace.has_subscribers
         self._topic_live = {t: has(t) for t in _PORT_TOPICS}
         self._quiet = not any(self._topic_live.values())
 
-    def _publish_cached(self, topic: str, packet: Packet,
-                        queue_index: Optional[int], detail: str) -> None:
-        """Fast-path publish: watcher-maintained per-topic liveness flags.
+    def _publish(self, topic: str, packet: Packet,
+                 queue_index: Optional[int], detail: str) -> None:
+        """Publish one packet event if anyone listens to ``topic``.
 
-        Semantically identical to :meth:`_publish` — same topics, same
-        payload dict — but a publish to a silent topic costs one dict
-        lookup instead of allocating the payload closure, and mid-run
+        A publish to a silent topic costs one dict lookup; mid-run
         (un)subscribes are pushed into the flags by the bus watcher.
         """
         if self._topic_live.get(topic):

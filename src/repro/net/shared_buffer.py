@@ -12,7 +12,7 @@ need, harming per-port fairness.
 admission then checks three levels: the scheme's own per-queue logic,
 the port-level DT allowance, and the physical pool.  This lets the
 repo reproduce the §II-C argument experimentally (see
-``benchmarks/test_shared_buffer.py``) and lets DynaQ run *on top of* a
+``tests/test_shared_buffer.py``) and lets DynaQ run *on top of* a
 shared-memory chip, which is how it would deploy in practice.
 """
 
@@ -96,9 +96,10 @@ def attach_pool(port, pool: SharedBufferPool) -> None:
 
     Wraps the port's datapath so that every enqueue reserves pool memory
     (a DT rejection is accounted as a drop with reason ``"chip pool"``)
-    and every dequeue/eviction releases it.  The port's own
-    ``buffer_bytes`` remains a hard per-port cap, as in real chips where
-    per-port accounting limits exist alongside the pool.
+    and every dequeue/eviction releases it.  A burst through
+    ``send_many`` goes through the pooled ``send`` once per packet.  The
+    port's own ``buffer_bytes`` remains a hard per-port cap, as in real
+    chips where per-port accounting limits exist alongside the pool.
     """
     pool.register(port.name)
     original_send = port.send
@@ -132,10 +133,15 @@ def attach_pool(port, pool: SharedBufferPool) -> None:
             pool.release(port.name, packet.size)
         return packet
 
+    def pooled_send_many(packets) -> None:
+        for packet in packets:
+            pooled_send(packet)
+
     port.send = pooled_send
+    port.send_many = pooled_send_many
     port._transmit_next = pooled_transmit
     # The port caches its transmit-completion callback at construction
-    # (fast path schedules _transmit_next directly); re-point it at the
-    # wrapper so completions release pool memory too.
+    # (it schedules _transmit_next directly); re-point it at the wrapper
+    # so completions release pool memory too.
     port._tx_complete = pooled_transmit
     port.evict_tail = pooled_evict

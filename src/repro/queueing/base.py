@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import List, Optional, Protocol
 
 from ..net.packet import Packet
-from ..perf.config import active_config
 
 
 class PortView(Protocol):
@@ -47,10 +46,9 @@ class Decision:
     """Outcome of an admission check.
 
     Decisions are immutable by convention: every consumer only reads the
-    three fields.  That is what lets the fast path
-    (:attr:`~repro.perf.config.PerfConfig.cached_decisions`) hand out
-    shared singleton instances for the recurring outcomes instead of
-    allocating two objects per packet (admit + dequeue hook).
+    three fields.  That is what lets buffer managers hand out shared
+    singleton instances for the recurring outcomes instead of allocating
+    two objects per packet (admit + dequeue hook).
     """
 
     __slots__ = ("accept", "mark", "reason")
@@ -97,10 +95,9 @@ class BufferManager:
         self.marks = 0
         self._queue_occupancy = None   # direct port state, set by attach
         self._direct_total = False
-        # Inline-admission contract (fast path, read by EgressPort under
-        # inline_hot_calls): when this is a list L, the manager
-        # guarantees that ``admit(packet, q)`` is exactly an unmarked,
-        # side-effect-free accept whenever
+        # Inline-admission contract (read by EgressPort): when this is a
+        # list L, the manager guarantees that ``admit(packet, q)`` is
+        # exactly an unmarked, side-effect-free accept whenever
         # ``occupancy[q] + size <= L[q]`` and the port buffer has room
         # for ``size`` — so the port may skip the admit() call for such
         # packets.  Any other case still goes through admit().  Managers
@@ -123,31 +120,21 @@ class BufferManager:
         # decision whose path can mutate state (threshold steals,
         # evictions).
         self.pure_drop_decisions = ()
-        # Fast path: pre-built singletons for the recurring outcomes.
-        # None in reference mode, in which case every site allocates a
-        # fresh Decision exactly as the pre-optimisation code did.
-        if active_config().cached_decisions:
-            self._accept: Optional[Decision] = Decision.accepted()
-            self._drop_full: Optional[Decision] = Decision.dropped(
-                "port buffer full")
-        else:
-            self._accept = None
-            self._drop_full = None
+        # Pre-built singletons for the recurring outcomes.
+        self._accept = Decision.accepted()
+        self._drop_full = Decision.dropped("port buffer full")
 
     def attach(self, port: PortView) -> None:
         """Bind the manager to its port and initialise derived state.
 
-        With :attr:`~repro.perf.config.PerfConfig.inline_hot_calls` on,
-        admission code reads the port's occupancy state directly
+        Admission code reads the port's occupancy state directly
         (``_queue_bytes`` list / ``_total_bytes`` int) instead of going
         through the PortView methods on every packet; ports that don't
         expose those internals (test fakes) fall back to the protocol.
         """
         self.port = port
-        inline = active_config().inline_hot_calls
-        self._queue_occupancy = (getattr(port, "_queue_bytes", None)
-                                 if inline else None)
-        self._direct_total = inline and hasattr(port, "_total_bytes")
+        self._queue_occupancy = getattr(port, "_queue_bytes", None)
+        self._direct_total = hasattr(port, "_total_bytes")
 
     def bind_trace(self, trace, port_name: str) -> None:
         """Offer the manager the port's trace bus (called by the port
@@ -182,7 +169,7 @@ class BufferManager:
         TCN *drop variant* discussed in the paper's §II-C).  The default
         forwards unconditionally.
         """
-        return self._accept or Decision.accepted()
+        return self._accept
 
     # -- shared helpers ---------------------------------------------------------
 
@@ -198,5 +185,5 @@ class BufferManager:
                  else port.total_bytes())
         if total + packet.size > port.buffer_bytes:
             self.drops += 1
-            return self._drop_full or Decision.dropped("port buffer full")
+            return self._drop_full
         return None

@@ -28,7 +28,7 @@ class BestEffortBuffer(BufferManager):
         drop = self._port_tail_drop(packet)
         if drop is not None:
             return drop
-        return self._accept or Decision.accepted()
+        return self._accept
 
 
 BestEffortBuffer.contract_owner = BestEffortBuffer

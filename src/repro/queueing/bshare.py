@@ -46,8 +46,7 @@ class BShareBuffer(BufferManager):
         self.reserve_fraction = reserve_fraction
         self.reserved_bytes: List[int] = []
         self.shared_bytes = 0
-        self._drop_threshold = (Decision.dropped("bshare threshold")
-                                if self._accept is not None else None)
+        self._drop_threshold = Decision.dropped("bshare threshold")
 
     def attach(self, port: PortView) -> None:
         super().attach(port)
@@ -80,11 +79,11 @@ class BShareBuffer(BufferManager):
                  else port.total_bytes())
         if total + size > port.buffer_bytes:
             self.drops += 1
-            return self._drop_full or Decision.dropped("port buffer full")
+            return self._drop_full
         # The reservation is a hard floor: under it, admission only
         # depends on the port having room (checked above).
         if queue_len + size <= reserved[queue_index]:
-            return self._accept or Decision.accepted()
+            return self._accept
         shared_used = 0
         if occupancy is not None:
             for index, occupied in enumerate(occupancy):
@@ -97,6 +96,5 @@ class BShareBuffer(BufferManager):
         limit = reserved[queue_index] + self.alpha * shared_free
         if queue_len + size > limit:
             self.drops += 1
-            return (self._drop_threshold
-                    or Decision.dropped("bshare threshold"))
-        return self._accept or Decision.accepted()
+            return self._drop_threshold
+        return self._accept

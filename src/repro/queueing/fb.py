@@ -44,8 +44,7 @@ class FBBuffer(BufferManager):
         self.burst_boost = burst_boost
         self.burst_fraction = burst_fraction
         self.fair_bytes: List[int] = []
-        self._drop_threshold = (Decision.dropped("fb threshold")
-                                if self._accept is not None else None)
+        self._drop_threshold = Decision.dropped("fb threshold")
 
     def attach(self, port: PortView) -> None:
         super().attach(port)
@@ -78,8 +77,8 @@ class FBBuffer(BufferManager):
             alpha *= self.burst_boost
         if queue_len + packet.size > alpha * max(free, 0):
             self.drops += 1
-            return self._drop_threshold or Decision.dropped("fb threshold")
+            return self._drop_threshold
         if total + packet.size > port.buffer_bytes:
             self.drops += 1
-            return self._drop_full or Decision.dropped("port buffer full")
-        return self._accept or Decision.accepted()
+            return self._drop_full
+        return self._accept

@@ -32,17 +32,16 @@ class LQDBuffer(BufferManager):
     def __init__(self) -> None:
         super().__init__()
         self.pushouts = 0
-        self._drop_longest = (Decision.dropped("longest queue")
-                              if self._accept is not None else None)
+        self._drop_longest = Decision.dropped("longest queue")
 
     def admit(self, packet: Packet, queue_index: int) -> Decision:
         drop = self._port_tail_drop(packet)
         if drop is None:
-            return self._accept or Decision.accepted()
+            return self._accept
         if self._push_out(packet, queue_index):
             self.drops -= 1  # _port_tail_drop counted a drop that isn't
-            return self._accept or Decision.accepted()
-        return self._drop_longest or Decision.dropped("longest queue")
+            return self._accept
+        return self._drop_longest
 
     # -- push-out ---------------------------------------------------------------
 

@@ -24,8 +24,7 @@ class PQLBuffer(BufferManager):
     def __init__(self) -> None:
         super().__init__()
         self.limits: List[int] = []
-        self._drop_limit = (Decision.dropped("per-queue limit")
-                            if self._accept is not None else None)
+        self._drop_limit = Decision.dropped("per-queue limit")
 
     def attach(self, port: PortView) -> None:
         super().attach(port)
@@ -41,8 +40,8 @@ class PQLBuffer(BufferManager):
                      else self.port.queue_bytes(queue_index))
         if queue_len + packet.size > self.limits[queue_index]:
             self.drops += 1
-            return self._drop_limit or Decision.dropped("per-queue limit")
+            return self._drop_limit
         drop = self._port_tail_drop(packet)
         if drop is not None:
             return drop
-        return self._accept or Decision.accepted()
+        return self._accept

@@ -50,8 +50,8 @@ class Scheduler:
     def bind_queues(self, queues) -> None:
         """Give the scheduler direct access to the port's queue deques.
 
-        Optional fast-path wiring (the port calls it under
-        ``inline_hot_calls``): the port shares the very list of deques
+        Optional fast-path wiring (every ``EgressPort`` calls it at
+        construction): the port shares the very list of deques
         backing its :class:`QueueView` answers, so emptiness and head
         size checks become subscripting instead of method calls.
         """

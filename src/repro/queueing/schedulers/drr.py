@@ -5,9 +5,10 @@ Each active queue holds a *deficit counter*; visiting a queue adds its
 head-of-line size.  Quanta are bytes; the paper's testbed uses 1.5 KB (one
 MTU) per unit of weight, e.g. weights 4:3:2:1 become quanta 6/4.5/3/1.5 KB.
 
-The scheduler also maintains an EWMA estimate of the *round time* (the time
-to cycle once through all active queues), which MQ-ECN's marking threshold
-``K_i = min(quantum_i / T_round, C) * RTT * lambda`` consumes.
+The scheduler can also maintain an EWMA estimate of the *round time* (the
+time to cycle once through all active queues), which MQ-ECN's marking
+threshold ``K_i = min(quantum_i / T_round, C) * RTT * lambda`` consumes;
+MQ-ECN turns it on with :meth:`DRRScheduler.enable_round_tracking`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional, Sequence
 
-from ...perf.config import active_config
 from .base import QueueView, Scheduler, validate_weights
 
 # EWMA gain for the round-time estimate, as in the MQ-ECN reference
@@ -38,11 +38,10 @@ class DRRScheduler(Scheduler):
         self._round_started_at: Optional[int] = None
         self._round_head: Optional[int] = None
         self.round_time_ns: float = 0.0
-        # Fast path: only MQ-ECN reads the round-time EWMA, so tracking
-        # (a clock lambda call per rotation) stays off until a consumer
-        # calls enable_round_tracking().  Reference mode tracks always,
-        # as the pre-optimisation scheduler did.
-        self._track_rounds = not active_config().lazy_round_time
+        # Only MQ-ECN reads the round-time EWMA, so tracking (a clock
+        # call per rotation) stays off until a consumer calls
+        # enable_round_tracking().
+        self._track_rounds = False
 
     # -- wiring ---------------------------------------------------------------
 

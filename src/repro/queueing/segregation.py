@@ -38,8 +38,7 @@ class SegregatedBuffer(BufferManager):
         self.values: List[float] = []
         self.segments: List[int] = []
         self.pushouts = 0
-        self._drop_class = (Decision.dropped("class segregation")
-                            if self._accept is not None else None)
+        self._drop_class = Decision.dropped("class segregation")
 
     def attach(self, port: PortView) -> None:
         super().attach(port)
@@ -59,11 +58,11 @@ class SegregatedBuffer(BufferManager):
     def admit(self, packet: Packet, queue_index: int) -> Decision:
         drop = self._port_tail_drop(packet)
         if drop is None:
-            return self._accept or Decision.accepted()
+            return self._accept
         if self._push_out(packet, queue_index):
             self.drops -= 1  # _port_tail_drop counted a drop that isn't
-            return self._accept or Decision.accepted()
-        return self._drop_class or Decision.dropped("class segregation")
+            return self._accept
+        return self._drop_class
 
     # -- push-out ---------------------------------------------------------------
 

@@ -27,9 +27,9 @@ event carries a **generation counter** (:attr:`Event.gen`):
   innocent bystander;
 * callers that keep handles across time therefore snapshot ``event.gen``
   at schedule time and cancel through
-  :meth:`Simulator.cancel_versioned`, which no-ops on a stale generation
-  (see :meth:`repro.net.port.EgressPort._track_in_flight` for the
-  pattern).
+  :meth:`Simulator.cancel_versioned`, which no-ops on a stale generation.
+  A port losing its in-flight packets on link-down needs no handles at
+  all: it finds them with :meth:`Simulator.pending_events_for`.
 
 Handles that are cleared inside their own callback (RTO timers, delayed
 ACK timers, the watchdog) never observe a recycled object and need no
@@ -486,8 +486,8 @@ class Simulator:
         O(heap size); meant for *rare* control paths that trade away
         per-occurrence bookkeeping — a link-down fault collecting the
         deliveries still on the wire (see
-        :attr:`repro.perf.config.PerfConfig.heap_scan_inflight`) — never
-        for per-packet logic.
+        :meth:`repro.net.port.EgressPort.set_link_down`) — never for
+        per-packet logic.
         """
         if self.pooling:
             hits = [entry[2] for entry in self._heap

@@ -43,8 +43,10 @@ SNAPSHOT_MAGIC = "repro-snapshot"
 #: scheduler's enqueue hook, schedulers their bound queues and forwarding
 #: tables their single-port routes, none of which a version-3 world has;
 #: 5: ports lose the transmit-batch state and the arrival predictor a
-#: version-4 world carries).
-SNAPSHOT_VERSION = 5
+#: version-4 world carries; 6: every port memoises transmission times
+#: and finds its in-flight packets by heap scan — a version-5 world
+#: built in reference mode holds ``_tx_cache = None`` and no scan flag).
+SNAPSHOT_VERSION = 6
 
 _JSON_SCALARS = (str, int, float, bool, type(None))
 

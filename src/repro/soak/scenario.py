@@ -45,12 +45,10 @@ SCHEMES = ("dynaq", "dynaq-evict", "dt", "fb", "bshare", "lqd", "pql",
 #: Torture modes: what the harness does *around* the simulation.
 TORTURE_MODES = ("none", "kill-restore", "corrupt-snapshot")
 
-#: Perf switches the generator flips on top of its base config.  These
-#: are the switches with real datapath branches (inflight tracking,
-#: decision caching, victim search, call elision) — the ones a soak
-#: most wants to catch interacting badly.
-PERF_SWITCHES = ("heap_scan_inflight", "cached_decisions",
-                 "incremental_victim", "inline_hot_calls")
+#: Perf switches the generator flips on top of its base config: the two
+#: still on real datapath branches (event recycling, victim search) —
+#: the ones a soak most wants to catch interacting badly.
+PERF_SWITCHES = ("event_pooling", "incremental_victim")
 
 #: Fault target used by every generated schedule: the bottleneck port of
 #: the bulk-flow star (every packet crosses it, so faults there exercise

@@ -173,16 +173,14 @@ def test_throughput_meter_measures_rate():
 
 
 def test_throughput_meter_trace_requirement():
-    # The subscriber backend needs the port's trace bus; the batched
-    # backend (the fast-path default) reads the port's transmit
-    # counters directly and works without one.
+    # The meter reads the port's transmit counters directly, so a port
+    # without a trace bus can be metered.
     sim = Simulator()
     port = EgressPort(
         sim, "p", rate_bps=10 ** 9, prop_delay_ns=0, buffer_bytes=10_000,
         scheduler=DRRScheduler([1500]), buffer_manager=BestEffortBuffer())
-    with pytest.raises(ValueError):
-        PortThroughputMeter(sim, port, interval_ns=1_000, batched=False)
-    meter = PortThroughputMeter(sim, port, interval_ns=1_000, batched=True)
+    assert port.trace is None
+    meter = PortThroughputMeter(sim, port, interval_ns=1_000)
     assert meter.samples == []
 
 

@@ -10,10 +10,9 @@ Four layers of evidence that the perf layer (``repro.perf``) changes
    trace under ``reference_mode()`` and ``fast_mode()`` — every drop,
    enqueue, dequeue, threshold steal at the same simulated nanosecond
    with the same payload;
-3. the throughput meter's batched-counter backend emits the same sample
-   series as the per-packet subscriber backend, and nine deterministic
-   engine and port workloads reproduce the operation counters committed
-   in ``tests/data/op_counters.json`` exactly, under both modes;
+3. nine deterministic engine and port workloads reproduce the operation
+   counters committed in ``tests/data/op_counters.json`` exactly (the
+   throughput meter's sample series included), under both modes;
 4. two small FCT cells — a Fig. 8 star (SPQ/DRR switch ports, FIFO +
    BestEffort NICs) and a leaf-spine fabric with ECMP uplinks —
    reproduce the per-port counters, event count and FCT digest committed
@@ -160,7 +159,7 @@ def test_golden_trace_hash_reference_equals_fast(tmp_path):
     assert reference_hash == fast_hash
 
 
-# -- 3. meter backends and the op-counter golden ------------------------------
+# -- 3. the op-counter golden --------------------------------------------------
 
 #: Every arrival is one MTU; one every 7.5 us offers ~1.6x a 1 Gbps link.
 MTU = 1500
@@ -176,27 +175,6 @@ def _port(sim: Simulator, scheme: str, trace=None) -> EgressPort:
         buffer_bytes=85_000, scheduler=DRRScheduler([float(MTU)] * 4),
         buffer_manager=buffer_factory(scheme, rtt_ns=500_000)(),
         trace=trace)
-
-
-def _metered_run(batched: bool):
-    sim = Simulator()
-    port = _port(sim, "dynaq", TraceBus())
-
-    class Sink:
-        def receive(self, packet):
-            pass
-
-    port.connect(Sink())
-    meter = PortThroughputMeter(sim, port, 200_000, batched=batched)
-    for i in range(400):
-        sim.at((i + 1) * 7_500, port.send,
-               Packet(i, "m", "sink", 1500, service_class=i % 4))
-    sim.run(until=5_000_000)
-    return [(s.time_ns, s.per_queue_bps) for s in meter.samples]
-
-
-def test_meter_backends_sample_identically():
-    assert _metered_run(batched=True) == _metered_run(batched=False)
 
 
 class _Sink:

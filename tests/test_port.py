@@ -303,8 +303,6 @@ def test_tx_cache_stays_bounded_under_size_sweep():
 
     sim = Simulator()
     port, sink = make_port(sim, buffer_bytes=10 ** 9)
-    if port._tx_cache is None:
-        pytest.skip("tx_time_cache disabled in active config")
     clock = 0
     for size in range(64, 64 + 4 * _TX_CACHE_CAP):
         clock += 100_000

@@ -146,3 +146,27 @@ def test_scheme_drop_returns_reservation():
     for _ in range(5):
         port.send(make_packet(1500))   # port's own 3 KB cap drops some
     assert pool.usage_of("p0") <= 3_000
+
+
+@pytest.mark.parametrize("capacity, count", [(100_000, 4), (4_000, 6)])
+def test_send_many_reserves_like_send(capacity, count):
+    """A burst through ``send_many`` reserves and releases pool memory
+    exactly like one ``send`` per packet.  It used to bypass the pool,
+    so the first dequeue released bytes nobody had reserved and
+    raised."""
+    outcomes = []
+    for burst in (False, True):
+        pool = SharedBufferPool(capacity, alpha=10.0)
+        sim, (port, _) = make_pooled_ports(pool)
+        packets = [make_packet(1500) for _ in range(count)]
+        if burst:
+            port.send_many(packets)
+        else:
+            for packet in packets:
+                port.send(packet)
+        buffered = pool.usage_of("p0")
+        sim.run()
+        outcomes.append((buffered, pool.usage_of("p0"), pool.rejections,
+                         port.transmitted_packets, port.dropped_packets))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] > 0 and outcomes[0][1] == 0

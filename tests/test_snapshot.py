@@ -111,14 +111,15 @@ def test_unknown_version_rejected(tmp_path):
     good = path.read_bytes()
     header_line, _, rest = good.partition(b"\n")
     header = json.loads(header_line)
-    assert header["version"] == SNAPSHOT_VERSION == 5
+    assert header["version"] == SNAPSHOT_VERSION == 6
     # 1 is what the builds before the recorder's pickled handlers
     # changed shape wrote; 2 those that could park every pending event
     # in a calendar queue this build no longer reads; 3 those whose
     # ports, schedulers and forwarding tables lack the fast-path wiring;
-    # 4 those whose ports carry transmit-batch state.  Each is refused
-    # by its header, and the payload never reaches pickle.
-    for version in (99, 1, 2, 3, 4):
+    # 4 those whose ports carry transmit-batch state; 5 those whose
+    # reference-mode ports hold no transmission-time memo.  Each is
+    # refused by its header, and the payload never reaches pickle.
+    for version in (99, 1, 2, 3, 4, 5):
         header["version"] = version
         path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
         with pytest.raises(SnapshotError,
@@ -279,17 +280,14 @@ def _wire_contents(world):
             for port in world.iter_ports()]
 
 
-def test_kill_restore_reference_with_inline_hot_calls(tmp_path):
+def test_kill_restore_reference_keeps_wire_contents(tmp_path):
     """Kill/restore stays byte-identical on the bare-Event reference heap
-    with the inlined port datapath armed — queue deques bound into the
-    scheduler and the port's own DRR select, forced onto the REFERENCE
-    base (FAST, where it is on by default, is the test above)."""
-    from repro.perf.config import REFERENCE, use_config
-
-    config = REFERENCE.clone(inline_hot_calls=True)
+    with the port's inlined DRR select, and the restored heap holds every
+    packet that was on the wire under its port's own delivery callback —
+    what a link-down after the restore scans for."""
     every_ns = milliseconds(7)
 
-    with use_config(config):
+    with reference_mode():
         trace_a = tmp_path / "a.jsonl"
         session = TelemetrySession(trace_out=trace_a)
         with session:

@@ -92,7 +92,7 @@ def test_scenario_json_roundtrip(tmp_path):
     {"duration_ms": 0},
     {"perf_base": "warp"},
     {"perf": {"flux_capacitor": True}},
-    {"perf": {"heap_scan_inflight": "yes"}},
+    {"perf": {"incremental_victim": "yes"}},
     {"torture": "rack"},
     {"torture": "kill-restore"},            # needs snapshot_every_ms
     {"snapshot_every_ms": 99.0},            # past the horizon
@@ -113,10 +113,13 @@ def test_from_dict_rejects_unknown_keys():
 
 def test_retired_perf_switch_is_refused_by_name():
     """A triage bundle written before the calendar queue, the packet
-    pool or batched link advance was deleted fails loudly at load, not
-    by silently running another config."""
+    pool, batched link advance or the seven baked-in switches were
+    deleted fails loudly at load, not by silently running another
+    config."""
     for switch in ("calendar_queue", "packet_pooling",
-                   "batched_link_advance"):
+                   "batched_link_advance", "inline_hot_calls",
+                   "heap_scan_inflight", "lazy_trace", "tx_time_cache",
+                   "cached_decisions", "batched_stats", "lazy_round_time"):
         with pytest.raises(ConfigurationError,
                            match=f"unknown perf switch '{switch}'"):
             tiny(perf={switch: True})
